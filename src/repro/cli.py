@@ -25,14 +25,14 @@ either writes the full experiment record or — with ``--cache-dir`` /
 the reference-vs-vectorized cross-engine comparisons; ``fuzz`` replays
 the pinned failure corpus and then runs the differential
 reference-vs-vectorized fuzz loop (see ``docs/FUZZING.md``);
-``fuzz --backend compiled`` runs the same loop against the compiled
-backend of :mod:`repro.sim.compiled` (fault cases skipped — the backend
-declares ``supports_faults=False``); ``serve`` runs the
+``fuzz --backend partitioned`` runs it against the shard-parallel
+driver (fault cases skipped — the backend declares
+``supports_faults=False``); ``serve`` runs the
 :mod:`repro.serve` continuous-batching daemon on a local TCP port
 (``--smoke`` instead starts it, fires a pinned synthetic burst from
 concurrent clients, asserts every coloring validates, and shuts down —
 the CI serving check); ``backends`` prints the
-:mod:`repro.sim.backends` registry with capabilities/availability and
+:mod:`repro.sim.backends` registry with its capabilities and
 the cross-module consistency check; ``families`` lists the available
 graph generators and their parameters.
 """
@@ -860,7 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "the selected backend implements)")
     p_fuzz.add_argument("--backend", default="vectorized",
                         help="which repro.sim.backends backend supplies the "
-                             "fast side (vectorized, batched, compiled); "
+                             "fast side (vectorized, batched, partitioned); "
                              "fault cases are skipped for backends without "
                              "supports_faults")
     p_fuzz.add_argument("--corpus", default="tests/corpus",

@@ -67,10 +67,8 @@ the packing and the per-cell loop as fallback.
 
 Algorithms are resolved by name: first against the engine fast paths
 (``linial_vectorized``, ``classic_vectorized``, ``greedy_vectorized``,
-``defective_split``, ``linial_faulty_vectorized`` on the vectorized CSR
-engine; ``linial_compiled``, ``greedy_compiled``,
-``defective_split_compiled`` on the compiled backend of
-:mod:`repro.sim.compiled`), then against the recorder-aware reference
+``defective_split``, ``linial_faulty_vectorized``, ``fk24_vectorized``
+on the vectorized CSR engine), then against the recorder-aware reference
 paths (``linial``, ``classic``, ``greedy``, ``linial_faulty``,
 ``linial_resilient`` — the first three are equivalence twins of the fast
 paths, the fault paths inject a :class:`~repro.faults.FaultPlan` taken
@@ -366,42 +364,6 @@ def _run_linial_resilient(graph, params, recorder=None):
     return res, metrics, palette, info
 
 
-def _run_linial_compiled(graph, params, recorder=None):
-    from ..sim.compiled import linial_compiled
-
-    res, metrics, palette = linial_compiled(
-        graph, defect=int(params.get("defect", 0)), recorder=recorder
-    )
-    return res, metrics, palette
-
-
-def _run_greedy_compiled(graph, params, recorder=None):
-    from ..core.instance import delta_plus_one_instance
-    from ..sim.compiled import greedy_list_compiled
-
-    instance = delta_plus_one_instance(graph)
-    res = greedy_list_compiled(instance)
-    metrics = _announce_coloring_metrics(graph, instance.space.size, recorder)
-    if recorder is not None:
-        recorder.finalize(
-            metrics,
-            n=graph.number_of_nodes(),
-            m=graph.number_of_edges(),
-            palette=instance.space.size,
-        )
-    return res, metrics, instance.space.size
-
-
-def _run_defective_split_compiled(graph, params, recorder=None):
-    from ..core.coloring import ColoringResult
-    from ..sim.compiled import defective_split_compiled
-
-    classes, metrics, palette = defective_split_compiled(
-        graph, defect=int(params.get("defect", 1)), recorder=recorder
-    )
-    return ColoringResult(classes), metrics, palette
-
-
 def _fk24_cell_config(graph, params):
     """The cell's (lists, space, defect) — shared by the fast path, the
     reference path, and the batched twin so all three run the identical
@@ -447,9 +409,6 @@ FAST_PATHS: dict[str, Callable] = {
     "defective_split": _run_defective_split,
     "linial_faulty_vectorized": _run_linial_faulty_vectorized,
     "fk24_vectorized": _run_fk24_vectorized,
-    "linial_compiled": _run_linial_compiled,
-    "greedy_compiled": _run_greedy_compiled,
-    "defective_split_compiled": _run_defective_split_compiled,
 }
 
 
@@ -459,8 +418,7 @@ def _batchable_algorithms() -> tuple[str, ...]:
     return batchable_sweep_algorithms()
 
 
-#: Fast paths with a block-diagonal batched twin (:mod:`repro.sim.batch`
-#: / :func:`repro.sim.compiled.linial_compiled_batch`).  Derived from the
+#: Fast paths with a block-diagonal batched twin (:mod:`repro.sim.batch`).  Derived from the
 #: backend registry (:func:`repro.sim.backends.batchable_sweep_algorithms`)
 #: so a backend declaring an algorithm ``batched`` is the single source of
 #: truth.  A worker batch whose pending cells share one of these
@@ -633,15 +591,6 @@ def _run_batched(algorithm: str, built: list[tuple]) -> list[Any]:
     recs = [rec for _, _, _, rec in built]
     if algorithm == "linial_vectorized":
         return linial_vectorized_batch(
-            gs,
-            defect=[int(p.get("defect", 0)) for p in params_list],
-            recorders=recs,
-            return_exceptions=True,
-        )
-    if algorithm == "linial_compiled":
-        from ..sim.compiled import linial_compiled_batch
-
-        return linial_compiled_batch(
             gs,
             defect=[int(p.get("defect", 0)) for p in params_list],
             recorders=recs,

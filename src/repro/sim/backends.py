@@ -18,9 +18,7 @@ through the registry:
 * the fuzz runner resolves its pair registry per backend through
   :func:`repro.fuzz.differential.pairs_for_backend` and its batched
   dispatch by name + value equality (never identity);
-* ``repro-cli backends`` renders the table, including the compiled
-  backend's availability (``compiled: unavailable`` when numba is
-  absent — the numpy fallback still runs, bit-identically).
+* ``repro-cli backends`` renders the table.
 
 Errors are structured, never bare ``KeyError``:
 :class:`UnknownBackendError` for names outside the registry,
@@ -41,8 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
-
-from .compiled import NUMBA_AVAILABLE, NUMBA_UNAVAILABLE_REASON
 
 #: The canonical algorithm families every backend must declare.
 ALGORITHMS: tuple[str, ...] = (
@@ -94,10 +90,7 @@ class BackendSpec:
     marks a backend whose kernels the :mod:`repro.serve` continuous-
     batching daemon can schedule on — it requires round-stepped
     execution with mid-run membership changes, which drain-style
-    drivers (reference, compiled) do not expose.  ``available`` is the
-    backend's *native* availability — the compiled backend stays usable
-    when numba is absent (its numpy fallback is part of the contract),
-    it just reports ``available=False`` with the reason.
+    drivers (reference) do not expose.
     """
 
     name: str
@@ -108,8 +101,6 @@ class BackendSpec:
     supports_serve: bool
     bit_identical_to: str | None
     algorithms: Mapping[str, AlgorithmSupport] = field(default_factory=dict)
-    available: bool = True
-    unavailable_reason: str | None = None
 
     def algorithm_support(self, algorithm: str) -> AlgorithmSupport:
         """The declared entry for ``algorithm`` (structured errors)."""
@@ -123,8 +114,7 @@ class BackendSpec:
 
 
 def _spec(name, description, engine, *, faults, batch, serve=False,
-          identical_to, algorithms, available=True,
-          unavailable_reason=None) -> BackendSpec:
+          identical_to, algorithms) -> BackendSpec:
     return BackendSpec(
         name=name,
         description=description,
@@ -134,8 +124,6 @@ def _spec(name, description, engine, *, faults, batch, serve=False,
         supports_serve=serve,
         bit_identical_to=identical_to,
         algorithms=MappingProxyType(dict(algorithms)),
-        available=available,
-        unavailable_reason=unavailable_reason,
     )
 
 
@@ -189,7 +177,7 @@ BACKENDS: dict[str, BackendSpec] = {
     "batched": _spec(
         "batched",
         "block-diagonal multi-instance execution (repro.sim.batch); an "
-        "execution strategy over the vectorized/compiled kernels, not a "
+        "execution strategy over the vectorized kernels, not a "
         "separate sweep algorithm namespace",
         "vectorized",
         faults=True,
@@ -203,39 +191,6 @@ BACKENDS: dict[str, BackendSpec] = {
             "greedy": AlgorithmSupport(batched=True),
             "linial": AlgorithmSupport(batched=True),
         },
-    ),
-    "compiled": _spec(
-        "compiled",
-        "numba-jitted round kernels with a bit-identical numpy fallback "
-        "(repro.sim.compiled)",
-        "compiled",
-        faults=False,
-        batch=True,
-        identical_to="vectorized",
-        algorithms={
-            "classic": AlgorithmSupport(
-                supported=False,
-                note="the classic pipeline is dominated by the schedule "
-                "reduction, which has no compiled kernel; run it on the "
-                "vectorized backend",
-            ),
-            "defective_split": AlgorithmSupport(
-                sweep_names=("defective_split_compiled",)
-            ),
-            "fk24": AlgorithmSupport(
-                supported=False,
-                note="the try/announce rounds are data-dependent (per-round "
-                "candidate scans over ragged lists), which the static "
-                "compiled kernels do not yet express; run it on the "
-                "vectorized backend",
-            ),
-            "greedy": AlgorithmSupport(sweep_names=("greedy_compiled",)),
-            "linial": AlgorithmSupport(
-                batched=True, sweep_names=("linial_compiled",)
-            ),
-        },
-        available=NUMBA_AVAILABLE,
-        unavailable_reason=NUMBA_UNAVAILABLE_REASON,
     ),
     "partitioned": _spec(
         "partitioned",
@@ -311,10 +266,7 @@ def require(
     :class:`CapabilityError` when the backend declares the requested
     ``algorithm`` unsupported, lacks ``supports_faults`` for a faulty
     request, lacks ``supports_batch`` for a batched one, or lacks
-    ``supports_serve`` for the continuous-batching daemon.  An
-    ``available=False`` backend still resolves — graceful degradation
-    (the compiled backend's numpy fallback) is the contract, and the
-    flag plus ``unavailable_reason`` report the degradation.
+    ``supports_serve`` for the continuous-batching daemon.
     """
     spec = get_backend(name)
     if algorithm is not None:
@@ -397,11 +349,7 @@ def describe() -> str:
     """Human-readable registry table (``repro-cli backends``)."""
     lines = []
     for spec in BACKENDS.values():
-        status = "available" if spec.available else "unavailable"
-        head = f"{spec.name}: {status}"
-        if not spec.available and spec.unavailable_reason:
-            head += f" ({spec.unavailable_reason})"
-        lines.append(head)
+        lines.append(f"{spec.name}:")
         lines.append(f"  {spec.description}")
         caps = [
             f"engine={spec.engine}",
@@ -447,7 +395,6 @@ def consistency_report() -> dict:
         REFERENCE_PATHS,
     )
     from ..fuzz.differential import (
-        _CPL_BATCH,
         _VEC_BATCH,
         ENGINE_PAIRS,
         PARTITIONED_PAIRS,
@@ -486,19 +433,6 @@ def consistency_report() -> dict:
         problems.append(
             f"generator GENERATABLE_PAIRS {sorted(GENERATABLE_PAIRS)} != "
             f"fuzz ENGINE_PAIRS {sorted(ENGINE_PAIRS)}"
-        )
-
-    cpl = BACKENDS["compiled"]
-    cpl_batched = {
-        a for a in ALGORITHMS
-        if a in cpl.algorithms
-        and cpl.algorithms[a].supported
-        and cpl.algorithms[a].batched
-    }
-    if set(_CPL_BATCH) != cpl_batched:
-        problems.append(
-            f"fuzz _CPL_BATCH {sorted(_CPL_BATCH)} != compiled batched "
-            f"algorithms {sorted(cpl_batched)}"
         )
 
     par = BACKENDS["partitioned"]

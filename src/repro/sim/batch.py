@@ -45,6 +45,8 @@ instances in the batch still complete.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
@@ -52,8 +54,8 @@ import numpy as np
 from ..core.coloring import ColoringResult
 from .engine import (
     CSRGraph,
-    collision_counts,
     equal_neighbor_counts,
+    linial_round,
     poly_digits,
     poly_eval_grid,
     ragged_lists,
@@ -284,14 +286,6 @@ class BatchCSRGraph:
 # ----------------------------------------------------------------------
 # small shared plumbing
 # ----------------------------------------------------------------------
-class _NullPhase:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
 class _MultiPhase:
     """Enter the same profiler phase on every attached recorder at once."""
 
@@ -312,7 +306,7 @@ class _MultiPhase:
 
 
 def _phase_all(recorders: Sequence["RunRecorder | None"], name: str):
-    return _MultiPhase(recorders, name) if recorders else _NullPhase()
+    return _MultiPhase(recorders, name) if recorders else nullcontext()
 
 
 def _seq_arg(value, k: int, name: str) -> list:
@@ -336,16 +330,6 @@ def _int_list(value, k: int, name: str) -> list[int]:
     return [int(value)] * k
 
 
-def _sub_batch(
-    batch: BatchCSRGraph, js: list[int], colors: np.ndarray
-) -> tuple[BatchCSRGraph, np.ndarray]:
-    """The sub-batch over members ``js`` plus their color slices."""
-    if len(js) == batch.k:
-        return batch, colors.copy()
-    sub = BatchCSRGraph.from_csrs([batch.members[j] for j in js])
-    return sub, np.concatenate([colors[batch.node_slice(j)] for j in js])
-
-
 def _write_back(
     batch: BatchCSRGraph, js: list[int], colors: np.ndarray, sub_colors: np.ndarray
 ) -> None:
@@ -367,7 +351,7 @@ def _raise_or_return(results: list, return_exceptions: bool) -> list:
 
 
 # ----------------------------------------------------------------------
-# batched Linial (fault-free round loop)
+# round-kernel tiles
 # ----------------------------------------------------------------------
 #: Node-count cap per round-kernel tile.  One monolithic (q, n_total)
 #: evaluation grid falls out of cache once n_total reaches the tens of
@@ -397,251 +381,6 @@ def _node_tiles(
     return tiles
 
 
-def _linial_rounds_batch(
-    batch: BatchCSRGraph, scheds: list, colors: np.ndarray
-) -> np.ndarray:
-    """Run every member's schedule, one global round at a time.
-
-    Members whose current step shares ``(q, deg)`` are processed in
-    cache-sized tiles (:data:`_TILE_NODES`), each tile one grid
-    evaluation + collision count over the concatenated node/edge ranges;
-    members whose schedule is exhausted simply drop out of the round's
-    groups (per-instance termination masks).  Per member, the computed
-    colors match :func:`~repro.sim.vectorized.linial_vectorized` value
-    for value — same digits, same evaluations, same integer bincount
-    collisions, same first-occurrence ``argmin`` tie-break.
-    """
-    if not batch.k:
-        return colors
-    max_len = max(len(s) for s in scheds)
-    node_counts = [m.n for m in batch.members]
-    sub_memo: dict[tuple[int, ...], BatchCSRGraph] = {}
-    for r in range(max_len):
-        groups: dict[tuple[int, int], list[int]] = {}
-        for j, sched in enumerate(scheds):
-            if r < len(sched):
-                step = sched[r]
-                groups.setdefault((step.q, step.deg), []).append(j)
-        for (q, deg), js in sorted(groups.items()):
-            for tile in _node_tiles(js, node_counts):
-                if len(tile) == batch.k:
-                    evals = poly_eval_grid(poly_digits(colors, q, deg), q)
-                    hits = collision_counts(batch, evals)
-                    best_x = np.argmin(hits, axis=0)
-                    colors = best_x * q + evals[best_x, np.arange(batch.n)]
-                    continue
-                sub = sub_memo.get(tile)
-                if sub is None:
-                    sub = BatchCSRGraph.from_csrs(
-                        [batch.members[j] for j in tile]
-                    )
-                    sub_memo[tile] = sub
-                sub_colors = np.concatenate(
-                    [colors[batch.node_slice(j)] for j in tile]
-                )
-                evals = poly_eval_grid(poly_digits(sub_colors, q, deg), q)
-                hits = collision_counts(sub, evals)
-                best_x = np.argmin(hits, axis=0)
-                _write_back(
-                    batch,
-                    list(tile),
-                    colors,
-                    best_x * q + evals[best_x, np.arange(sub.n)],
-                )
-    return colors
-
-
-# ----------------------------------------------------------------------
-# batched Linial (faulty round loop)
-# ----------------------------------------------------------------------
-def _linial_faulty_rounds_batch(
-    sub: BatchCSRGraph,
-    scheds: list,
-    colors: np.ndarray,
-    bits_list: list[int],
-    plans: list,
-    metrics_list: list[RunMetrics],
-    recorders: list,
-) -> tuple[np.ndarray, list[BaseException | None]]:
-    """Batched twin of :func:`repro.sim.vectorized._linial_faulty_rounds`.
-
-    All instances share one global round clock (every single-instance run
-    starts at round 0, so global round == per-instance round for as long
-    as the instance is live).  Per round, fates/crashes/corruptions are
-    drawn per instance from that instance's plan over its own label
-    arrays — bit-identical to the single-instance queries — while the
-    delivery buffer, step-skew grouping, and color update run over the
-    whole batch at once.  An instance stops contributing rounds the
-    moment all its nodes finish; an instance that exhausts its plan's
-    round budget is halted with the identical
-    :class:`~repro.sim.node.HaltingError` (returned per instance, not
-    raised, so siblings keep running).
-    """
-    from ..faults.plan import (
-        FATE_CORRUPT,
-        FATE_DELAY,
-        FATE_DELIVER,
-        FATE_DROP,
-        FATE_DUPLICATE,
-        node_labels_u64,
-    )
-
-    k = sub.k
-    n_tot = sub.n
-    labels = np.concatenate([node_labels_u64(m.nodes) for m in sub.members])
-    src_lab = labels[sub.src]
-    dst_lab = labels[sub.indices]
-    colors = colors.copy()
-    steps = np.zeros(n_tot, dtype=np.int64)
-    totals = np.concatenate(
-        [
-            np.full(m.n, len(s), dtype=np.int64)
-            for m, s in zip(sub.members, scheds)
-        ]
-    )
-    sched_q = [np.array([st.q for st in s], dtype=np.int64) for s in scheds]
-    sched_deg = [np.array([st.deg for st in s], dtype=np.int64) for s in scheds]
-    budgets = [plans[j].round_budget(len(scheds[j])) for j in range(k)]
-    participating = np.ones(n_tot, dtype=bool)
-    halted = [False] * k
-    errors: list[BaseException | None] = [None] * k
-    pending: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-
-    rnd = 0
-    while True:
-        live = [
-            j
-            for j in range(k)
-            if not halted[j]
-            and bool((steps[sub.node_slice(j)] < totals[sub.node_slice(j)]).any())
-        ]
-        if not live:
-            break
-        for j in list(live):
-            if rnd >= budgets[j]:
-                sl = sub.node_slice(j)
-                unfinished = [
-                    sub.members[j].nodes[i]
-                    for i in np.nonzero(steps[sl] < totals[sl])[0]
-                ]
-                errors[j] = HaltingError(rounds=rnd, unfinished=unfinished)
-                halted[j] = True
-                participating[sl] = False
-                live.remove(j)
-        if not live:
-            break
-
-        alive = np.ones(n_tot, dtype=bool)
-        for j in live:
-            sl = sub.node_slice(j)
-            alive[sl] = ~plans[j].crashed_mask(rnd, labels[sl])
-        active = (steps < totals) & participating
-        transmit = (active & alive)[sub.src]
-
-        delivered = np.full(sub.num_directed_edges, -1, dtype=np.int64)
-        for edge_idx, values in pending.pop(rnd, ()):
-            delivered[edge_idx] = values
-        per_counts: dict[int, dict[str, int]] = {}
-        for j in live:
-            sl = sub.node_slice(j)
-            esl = sub.edge_slice(j)
-            counts = dict.fromkeys(
-                ("dropped", "corrupted", "delayed", "duplicated"), 0
-            )
-            counts["crashed"] = int(sub.members[j].n - alive[sl].sum())
-            tr = transmit[esl]
-            if tr.any():
-                codes, delays = plans[j].edge_fates(
-                    rnd, src_lab[esl], dst_lab[esl]
-                )
-                codes = np.where(tr, codes, -1)
-                payload = colors[sub.src[esl]]
-                counts["dropped"] = int((codes == FATE_DROP).sum())
-                counts["corrupted"] = int((codes == FATE_CORRUPT).sum())
-                counts["delayed"] = int((codes == FATE_DELAY).sum())
-                counts["duplicated"] = int((codes == FATE_DUPLICATE).sum())
-                for code in (FATE_DELAY, FATE_DUPLICATE):
-                    idx = np.nonzero(codes == code)[0]
-                    for d in np.unique(delays[idx]):
-                        sel = idx[delays[idx] == d]
-                        pending.setdefault(rnd + int(d), []).append(
-                            (sel + sub.edge_offsets[j], payload[sel].copy())
-                        )
-                dlv = delivered[esl]  # slice view: writes land in `delivered`
-                now = (codes == FATE_DELIVER) | (codes == FATE_DUPLICATE)
-                dlv[now] = payload[now]
-                corrupt = codes == FATE_CORRUPT
-                if corrupt.any():
-                    dlv[corrupt] = plans[j].corrupt_values(
-                        rnd,
-                        src_lab[esl][corrupt],
-                        dst_lab[esl][corrupt],
-                        payload[corrupt],
-                    )
-            per_counts[j] = counts
-        delivered[~alive[sub.indices]] = -1
-
-        receiving = active & alive
-        q_arr = np.zeros(n_tot, dtype=np.int64)
-        deg_arr = np.zeros(n_tot, dtype=np.int64)
-        for j in live:
-            sl = sub.node_slice(j)
-            ids = np.nonzero(receiving[sl])[0]
-            if ids.size:
-                gids = ids + sl.start
-                st = steps[gids]
-                q_arr[gids] = sched_q[j][st]
-                deg_arr[gids] = sched_deg[j][st]
-        new_colors = colors.copy()
-        recv_idx = np.nonzero(receiving)[0]
-        if recv_idx.size:
-            step_pairs = sorted(
-                set(zip(q_arr[recv_idx].tolist(), deg_arr[recv_idx].tolist()))
-            )
-            for q, deg in step_pairs:
-                group = receiving & (q_arr == q) & (deg_arr == deg)
-                members_idx = np.nonzero(group)[0]
-                g = members_idx.size
-                domain = q ** (deg + 1)
-                local = np.full(n_tot, -1, dtype=np.int64)
-                local[members_idx] = np.arange(g, dtype=np.int64)
-                own_evals = poly_eval_grid(
-                    poly_digits(colors[members_idx], q, deg), q
-                )  # (q, g)
-                edge_ok = (
-                    group[sub.indices] & (delivered >= 0) & (delivered < domain)
-                )
-                hits = np.zeros((q, g), dtype=np.int64)
-                if edge_ok.any():
-                    dst_l = local[sub.indices[edge_ok]]
-                    edge_evals = poly_eval_grid(
-                        poly_digits(delivered[edge_ok], q, deg), q
-                    )
-                    match = edge_evals == own_evals[:, dst_l]
-                    for x in range(q):
-                        hits[x] = np.bincount(dst_l[match[x]], minlength=g)
-                best_x = np.argmin(hits, axis=0)  # first occurrence
-                new_colors[members_idx] = (
-                    best_x * q + own_evals[best_x, np.arange(g)]
-                )
-        colors = new_colors
-        steps[receiving] += 1
-
-        for j in live:
-            sl = sub.node_slice(j)
-            esl = sub.edge_slice(j)
-            record_uniform_round(
-                metrics_list[j],
-                recorders[j],
-                int(transmit[esl].sum()),
-                bits_list[j],
-                active=int(active[sl].sum()),
-                faults=per_counts[j],
-            )
-        rnd += 1
-    return colors, errors
-
-
 # ----------------------------------------------------------------------
 # public batched kernels
 # ----------------------------------------------------------------------
@@ -654,7 +393,6 @@ def linial_vectorized_batch(
     return_exceptions: bool = False,
     _batch: BatchCSRGraph | None = None,
     _finalize_recorders: bool = True,
-    _rounds=None,
 ) -> list:
     """Batched twin of :func:`repro.sim.vectorized.linial_vectorized`.
 
@@ -668,15 +406,12 @@ def linial_vectorized_batch(
     (a crash-stop :class:`~repro.sim.node.HaltingError`) yields the
     exception object in its slot instead of aborting the batch;
     otherwise the first error is raised after all instances finish.
-    Identical ``(m0, delta, defect)`` parameters share one schedule
-    computation — a real batching win on homogeneous grids.
-    ``_rounds`` (internal) substitutes the fault-free round loop —
-    :func:`repro.sim.compiled.linial_compiled_batch` passes its compiled
-    rounds hook here so packing, termination masks, accounting, and
-    quarantine stay this function's single implementation.
-    """
-    from ..algorithms.linial import defective_schedule, linial_schedule
 
+    The graphs are frozen once, block-diagonally; each member becomes a
+    :func:`make_batch_instance` and one :class:`LinialBatchStepper`
+    drains them all — the execution core the serving daemon schedules
+    on, so offline and served runs share every round.
+    """
     k = _batch.k if _batch is not None else len(graphs)
     recs = _seq_arg(recorders, k, "recorders")
     plans = _seq_arg(faults, k, "faults")
@@ -685,105 +420,29 @@ def linial_vectorized_batch(
 
     with _phase_all(recs, "csr_build"):
         batch = _batch if _batch is not None else BatchCSRGraph.from_graphs(graphs)
-
-    sched_memo: dict[tuple[int, int, int], Any] = {}
-    scheds: list = []
-    palettes: list[int] = []
-    bits_list: list[int] = []
-    colors_parts: list[np.ndarray] = []
     with _phase_all(recs, "schedule"):
-        for j in range(k):
-            member = batch.members[j]
-            delta_j = int(member.degrees.max()) if member.n else 0
-            init = inits[j]
-            if init is None:
-                # Identity init: gather({v: i}) is arange by construction,
-                # so skip the dict build on the hot default path.
-                m0 = member.n if member.n else 1
-                colors_parts.append(np.arange(member.n, dtype=np.int64))
-            else:
-                m0 = max(init.values()) + 1 if init else 1
-                colors_parts.append(member.gather(init))
-            key = (m0, delta_j, defects[j])
-            sched = sched_memo.get(key)
-            if sched is None:
-                sched = (
-                    linial_schedule(m0, delta_j)
-                    if defects[j] == 0
-                    else defective_schedule(m0, delta_j, defects[j])
-                )
-                sched_memo[key] = sched
-            scheds.append(sched)
-            palettes.append(sched[-1].out_colors if sched else m0)
-            bits_list.append(int_bits(max(1, m0 - 1)))
-    colors = (
-        np.concatenate(colors_parts) if colors_parts else np.empty(0, np.int64)
-    )
-
-    metrics_list = [synthesized_metrics(batch.members[j].n) for j in range(k)]
-    errors: list[BaseException | None] = [None] * k
-
-    plain = [j for j in range(k) if plans[j] is None]
-    faulty = [j for j in range(k) if plans[j] is not None]
-
-    if plain:
-        rounds_fn = _rounds if _rounds is not None else _linial_rounds_batch
-        with _phase_all([recs[j] for j in plain], "rounds"):
-            sub, sub_colors = _sub_batch(batch, plain, colors)
-            sub_colors = rounds_fn(
-                sub, [scheds[j] for j in plain], sub_colors
+        instances = [
+            make_batch_instance(
+                csr=member,
+                initial_colors=inits[j],
+                defect=defects[j],
+                faults=plans[j],
+                recorder=recs[j],
             )
-            _write_back(batch, plain, colors, sub_colors)
-            for j in plain:
-                member = batch.members[j]
-                msgs = member.num_directed_edges
-                for _ in range(len(scheds[j])):
-                    record_uniform_round(
-                        metrics_list[j], recs[j], msgs, bits_list[j],
-                        active=member.n,
-                    )
-    if faulty:
-        with _phase_all([recs[j] for j in faulty], "rounds"):
-            sub, sub_colors = _sub_batch(batch, faulty, colors)
-            sub_colors, sub_errors = _linial_faulty_rounds_batch(
-                sub,
-                [scheds[j] for j in faulty],
-                sub_colors,
-                [bits_list[j] for j in faulty],
-                [plans[j] for j in faulty],
-                [metrics_list[j] for j in faulty],
-                [recs[j] for j in faulty],
-            )
-            _write_back(batch, faulty, colors, sub_colors)
-        for pos, j in enumerate(faulty):
-            errors[j] = sub_errors[pos]
-
-    results: list = [None] * k
-    for j in range(k):
-        member = batch.members[j]
-        if errors[j] is not None:
-            # flush the partial per-round record before surfacing the
-            # halt — the single-instance path's post-mortem contract
-            if recs[j] is not None:
-                recs[j].finalize(
-                    metrics_list[j],
-                    n=member.n,
-                    m=member.num_directed_edges // 2,
-                    palette=palettes[j],
-                    algorithm=recs[j].algorithm or "linial_vectorized",
-                )
-            results[j] = errors[j]
-            continue
-        res = ColoringResult(member.scatter(colors[batch.node_slice(j)]))
-        if recs[j] is not None and _finalize_recorders:
-            recs[j].finalize(
-                metrics_list[j],
-                n=member.n,
-                m=member.num_directed_edges // 2,
-                palette=palettes[j],
-                algorithm=recs[j].algorithm or "linial_vectorized",
-            )
-        results[j] = (res, metrics_list[j], palettes[j])
+            for j, member in enumerate(batch.members)
+        ]
+    for inst in instances:
+        inst.flush_recorder = False
+    with _phase_all(recs, "rounds"):
+        LinialBatchStepper(instances).run_to_completion()
+    results = []
+    for inst in instances:
+        # flushed after the rounds phase closes (see linial_vectorized)
+        if inst.recorder is not None and (
+            inst.error is not None or _finalize_recorders
+        ):
+            inst.flush_record()
+        results.append(inst.outcome())
     return _raise_or_return(results, return_exceptions)
 
 
@@ -1553,6 +1212,11 @@ class BatchInstance:
     """
 
     _next_uid = 0
+    #: Whether :meth:`finalize` also finalizes the attached recorder.  The
+    #: drain drivers clear it and call :meth:`flush_record` once their
+    #: ``rounds`` profiler phase has closed, so the record's timings
+    #: include that phase.
+    flush_recorder = True
 
     def __init__(
         self,
@@ -1614,27 +1278,31 @@ class BatchInstance:
     def finalize(self, algorithm: str = "linial_vectorized") -> None:
         """Seal the outcome: build the result triple (or flush the halt).
 
-        Mirrors :func:`linial_vectorized_batch`'s finish path — a halted
-        instance flushes its partial per-round record before the error
-        is surfaced; a completed one produces the same ``(ColoringResult,
-        RunMetrics, palette)`` triple as its single-instance twin.
+        A halted instance flushes its partial per-round record before the
+        error is surfaced; a completed one produces the same
+        ``(ColoringResult, RunMetrics, palette)`` triple as its
+        single-instance twin.
         """
         if self.finished:
             return
-        if self.recorder is not None:
-            self.recorder.finalize(
-                self.metrics,
-                n=self.csr.n,
-                m=self.csr.num_directed_edges // 2,
-                palette=self.palette,
-                algorithm=self.recorder.algorithm or algorithm,
-            )
+        if self.recorder is not None and self.flush_recorder:
+            self.flush_record(algorithm)
         if self.error is None:
             self.result = (
                 ColoringResult(self.csr.scatter(self.colors)),
                 self.metrics,
                 self.palette,
             )
+
+    def flush_record(self, algorithm: str = "linial_vectorized") -> None:
+        """Finalize the attached recorder against this run's metrics."""
+        self.recorder.finalize(
+            self.metrics,
+            n=self.csr.n,
+            m=self.csr.num_directed_edges // 2,
+            palette=self.palette,
+            algorithm=self.recorder.algorithm or algorithm,
+        )
 
     def outcome(self):
         """The finished result triple, or the per-instance exception."""
@@ -1644,14 +1312,22 @@ class BatchInstance:
 
     # ------------------------------------------------------------------
     def _faulty_round(self) -> None:
-        """One faulty round on this instance's *local* clock.
+        """One faulty round on this instance's *local* clock — the only
+        faulty Linial round; every engine runs fault plans through it.
 
-        A verbatim single-iteration transliteration of
-        :func:`repro.sim.vectorized._linial_faulty_rounds` — plan queries
-        use the instance's own round counter and label arrays, so an
-        instance admitted at any global round replays exactly the
-        adversary its standalone run would, and the per-round fault
-        columns stay the cross-engine invariant.
+        Mirrors the reference simulator's delivery semantics edge for
+        edge: transmissions are drawn from active+alive senders, fates
+        come from the plan's vectorized hash (pinned equal to the scalar
+        hash), delayed and duplicated copies sit in a per-round pending
+        buffer whose stale entries are overwritten by fresher same-edge
+        deliveries, deliveries to crashed receivers are discarded, and
+        receivers decode only payloads inside their step's
+        ``q^(deg+1)`` domain.  Nodes advance one schedule step per round
+        they are up, so crash outages leave step *skew* — distinct steps
+        are processed group by group, exactly like the per-node reference
+        receive.  Plan queries use the instance's own round counter and
+        label arrays, so an instance admitted at any global round replays
+        exactly the adversary its standalone run would.
         """
         from ..faults.plan import (
             FATE_CORRUPT,
@@ -1748,6 +1424,17 @@ class BatchInstance:
         self._rnd += 1
 
 
+@lru_cache(maxsize=1024)
+def _schedule(m0: int, delta: int, defect: int) -> tuple:
+    """The Linial schedule for ``(m0, delta, defect)``, computed once per
+    distinct key — batches and served traffic repeat keys constantly."""
+    from ..algorithms.linial import defective_schedule, linial_schedule
+
+    if defect == 0:
+        return tuple(linial_schedule(m0, delta))
+    return tuple(defective_schedule(m0, delta, defect))
+
+
 def make_batch_instance(
     graph: Any = None,
     *,
@@ -1768,8 +1455,6 @@ def make_batch_instance(
     single-instance triple bit for bit.  ``csr`` lets a caller that
     already froze the topology skip the second freeze.
     """
-    from ..algorithms.linial import defective_schedule, linial_schedule
-
     if csr is None:
         if graph is None:
             raise ValueError("make_batch_instance needs a graph or a csr")
@@ -1782,11 +1467,7 @@ def make_batch_instance(
     else:
         m0 = max(initial_colors.values()) + 1 if initial_colors else 1
         colors = csr.gather(initial_colors)
-    sched = (
-        linial_schedule(m0, delta)
-        if defect == 0
-        else defective_schedule(m0, delta, defect)
-    )
+    sched = _schedule(m0, delta, int(defect))
     palette = sched[-1].out_colors if sched else m0
     return BatchInstance(
         csr,
@@ -1834,11 +1515,16 @@ class LinialBatchStepper:
     slots are free immediately; per-instance termination masks are
     literal here, a finished instance simply leaves the membership).
 
-    Each round, live fault-free instances are grouped by their current
-    schedule step's ``(q, deg)`` and each group runs through the shared
-    grid-evaluation/collision kernels in cache-sized tiles
-    (:data:`_TILE_NODES`), exactly like :func:`_linial_rounds_batch`;
-    faulty instances run their own local-clock round via
+    It is the only Linial execution core: :func:`linial_vectorized_batch`
+    drains one, and :func:`~repro.sim.vectorized.linial_vectorized` is a
+    batch of one.  Each round, live fault-free instances are grouped by
+    their current schedule step's ``(q, deg)`` and each group runs
+    :func:`~repro.sim.engine.linial_round` in cache-sized tiles
+    (:data:`_TILE_NODES`); a multi-instance tile's packed
+    :class:`BatchCSRGraph` is reused from the previous round while the
+    tile's membership is unchanged (only the current round's tiles are
+    kept, so memory stays bounded under continuous admission).  Faulty
+    instances run their own local-clock round via
     :meth:`BatchInstance._faulty_round`.  Because no kernel ever reads
     across an instance boundary, every instance's final triple is
     bit-identical to its single-instance
@@ -1852,6 +1538,8 @@ class LinialBatchStepper:
         self._live: list[BatchInstance] = []
         self._sealed_at_admit: list[BatchInstance] = []
         self._round = 0
+        #: Last round's packed multi-instance tiles, keyed by member uids.
+        self._tiles: dict[tuple[int, ...], BatchCSRGraph] = {}
         for inst in instances:
             self.admit(inst)
 
@@ -1936,25 +1624,26 @@ class LinialBatchStepper:
         for inst in plain:
             step = inst.current_step()
             groups.setdefault((step.q, step.deg), []).append(inst)
+        tiles: dict[tuple[int, ...], BatchCSRGraph] = {}
         for (q, deg), members in sorted(groups.items()):
             node_counts = [m.csr.n for m in members]
             for tile in _node_tiles(list(range(len(members))), node_counts):
                 tile_members = [members[p] for p in tile]
                 if len(tile_members) == 1:
                     m = tile_members[0]
-                    evals = poly_eval_grid(poly_digits(m.colors, q, deg), q)
-                    hits = collision_counts(m.csr, evals)
-                    best_x = np.argmin(hits, axis=0)
-                    m.colors = best_x * q + evals[best_x, np.arange(m.csr.n)]
+                    m.colors = linial_round(m.csr, m.colors, q, deg)
                     continue
-                sub = BatchCSRGraph.from_csrs([m.csr for m in tile_members])
-                colors = np.concatenate([m.colors for m in tile_members])
-                evals = poly_eval_grid(poly_digits(colors, q, deg), q)
-                hits = collision_counts(sub, evals)
-                best_x = np.argmin(hits, axis=0)
-                colors = best_x * q + evals[best_x, np.arange(sub.n)]
+                key = tuple(m.uid for m in tile_members)
+                sub = self._tiles.get(key)
+                if sub is None:
+                    sub = BatchCSRGraph.from_csrs([m.csr for m in tile_members])
+                tiles[key] = sub
+                colors = linial_round(
+                    sub, np.concatenate([m.colors for m in tile_members]), q, deg
+                )
                 for j, m in enumerate(tile_members):
-                    m.colors = colors[sub.node_slice(j)].copy()
+                    m.colors = colors[sub.node_slice(j)]
+        self._tiles = tiles
         for inst in plain:
             record_uniform_round(
                 inst.metrics,
@@ -1988,8 +1677,9 @@ class LinialBatchStepper:
     def run_to_completion(self) -> list[BatchInstance]:
         """Step until the membership drains (static batch-and-drain mode).
 
-        The offline counterpart of a serving loop — used by tests to pin
-        stepper-vs-:func:`linial_vectorized_batch` equivalence.
+        The offline counterpart of a serving loop: how
+        :func:`linial_vectorized_batch` and
+        :func:`~repro.sim.vectorized.linial_vectorized` run their rounds.
         """
         done: list[BatchInstance] = []
         while self._live or self._sealed_at_admit:

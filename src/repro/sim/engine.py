@@ -24,7 +24,10 @@ This module provides that structure and the primitives every fast path in
   counted with **integer** bincounts (never float accumulation).
 * :func:`poly_digits` / :func:`poly_eval_grid` — the base-``q`` polynomial
   machinery of Linial steps, vectorized over all nodes and all evaluation
-  points at once.
+  points at once;
+* :func:`linial_round` — the fault-free Linial round built from them, the
+  one round kernel every Linial engine (single, batched, served,
+  partitioned) calls.
 * :func:`synthesized_metrics` — a :class:`~repro.sim.metrics.RunMetrics`
   preconfigured with the same default CONGEST budget the reference driver
   uses, so synthesized accounting is comparable number-for-number.
@@ -248,6 +251,22 @@ def poly_eval_grid(digits: np.ndarray, q: int) -> np.ndarray:
     for i in range(digits.shape[1] - 1, -1, -1):
         acc = (acc * xs + digits[None, :, i]) % q
     return acc
+
+
+def linial_round(csr, colors: np.ndarray, q: int, deg: int) -> np.ndarray:
+    """One fault-free Linial ``(q, deg)`` step: every node's next color.
+
+    Each node evaluates its base-``q`` polynomial at every ``x`` in F_q,
+    counts the neighbors agreeing at each point, and takes the smallest
+    ``x`` among the minimal counts (numpy's first-occurrence ``argmin``,
+    the reference tie-break); the new color encodes ``(x, p(x))``.
+    ``csr`` is any adjacency :func:`collision_counts` accepts — a
+    :class:`CSRGraph`, a block-diagonal batch, or a shard-local CSR.
+    """
+    evals = poly_eval_grid(poly_digits(colors, q, deg), q)  # (q, n)
+    hits = collision_counts(csr, evals)  # (q, n) int64
+    best_x = np.argmin(hits, axis=0)  # first occurrence = smallest x
+    return best_x * q + evals[best_x, np.arange(colors.shape[0])]
 
 
 # ----------------------------------------------------------------------

@@ -79,9 +79,7 @@ import numpy as np
 from ..core.coloring import ColoringResult
 from .engine import (
     CSRGraph,
-    collision_counts,
-    poly_digits,
-    poly_eval_grid,
+    linial_round,
     record_uniform_round,
     synthesized_metrics,
 )
@@ -355,7 +353,7 @@ def partition_graph(
 class _ShardCSR:
     """Duck-typed stand-in for :class:`CSRGraph` over a shard's local ids.
 
-    Carries exactly what :func:`~repro.sim.engine.collision_counts`
+    Carries exactly what :func:`~repro.sim.engine.linial_round`
     reads (``n``/``src``/``indices``/``num_directed_edges``) without the
     label machinery (``nodes`` tuple, ``index`` dict) that would cost
     hundreds of MB per shard at 10M nodes.
@@ -421,7 +419,6 @@ def _shard_worker(
         n_own = int(owned.shape[0])
         local = _ShardCSR(n_own + int(ghosts.shape[0]), indptr, indices)
         own = colors_global[owned].copy()
-        own_range = np.arange(n_own)
         round_walls: list[float] = []
         for rnd, (q, deg) in enumerate(sched):
             if crash_round is not None and rnd == crash_round:
@@ -431,13 +428,9 @@ def _shard_worker(
             barrier.wait(timeout=barrier_timeout)  # all reads snapshotted
             if n_own:
                 colors_local = np.concatenate([own, ghost_colors])
-                digits = poly_digits(colors_local, q, deg)
-                evals = poly_eval_grid(digits, q)  # (q, n_local)
-                hits = collision_counts(local, evals)
-                # restricting argmin to owned columns preserves the
-                # single-CSR tie-break: columns are independent
-                best_x = np.argmin(hits[:, :n_own], axis=0)
-                own = best_x * q + evals[best_x, own_range]
+                # columns are independent, so keeping the owned ones
+                # preserves the single-CSR tie-break
+                own = linial_round(local, colors_local, q, deg)[:n_own]
                 colors_global[owned] = own
             barrier.wait(timeout=barrier_timeout)  # all writes published
             round_walls.append(time.perf_counter() - t0)
@@ -519,10 +512,17 @@ class PartitionRunStats:
 
 
 def _terminate_all(procs: list) -> None:
-    for p in procs:
+    """Stop and reap every *started* worker.
+
+    A process whose ``start()`` never ran (a sibling's start raised) has
+    no pid and cannot be joined; skipping it lets the original start
+    error propagate instead of an ``AssertionError`` from ``join``.
+    """
+    started = [p for p in procs if p.pid is not None]
+    for p in started:
         if p.is_alive():
             p.terminate()
-    for p in procs:
+    for p in started:
         p.join(timeout=5.0)
         if p.is_alive():  # pragma: no cover - terminate refused
             p.kill()

@@ -31,18 +31,17 @@ bottleneck for large-n experiments (E14).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import TYPE_CHECKING
 
 import numpy as np
 import networkx as nx
 
 from ..core.coloring import ColoringResult
+from .batch import LinialBatchStepper, make_batch_instance
 from .engine import (
     CSRGraph,
-    collision_counts,
     equal_neighbor_counts,
-    poly_digits,
-    poly_eval_grid,
     ragged_lists,
     record_uniform_round,
     synthesized_metrics,
@@ -55,30 +54,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> sim)
     from ..obs import RunRecorder
 
 
-class _NullPhase:
-    """No-op context manager used when no recorder/profiler is attached."""
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
 def _phase(recorder: "RunRecorder | None", name: str):
     """The recorder's profiler phase, or a no-op when unobserved."""
-    return recorder.profiler.phase(name) if recorder is not None else _NullPhase()
-
-
-def _edge_arrays(graph: nx.Graph) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
-    """Directed edge arrays (both directions) over dense node indices.
-
-    Backward-compatible wrapper over :class:`~repro.sim.engine.CSRGraph`;
-    raises ``ValueError`` on directed inputs (a digraph used to be
-    silently double-directed here).
-    """
-    csr = CSRGraph.from_networkx(graph)
-    return csr.src, csr.indices, csr.index
+    return recorder.profiler.phase(name) if recorder is not None else nullcontext()
 
 
 def linial_vectorized(
@@ -105,201 +83,32 @@ def linial_vectorized(
     standing cross-engine contract under fault injection).  ``_csr``
     (internal) lets a composing fast path reuse an already-built CSR of
     ``graph`` instead of freezing the topology twice.
-    """
-    from ..algorithms.linial import defective_schedule, linial_schedule
 
+    The run is a batch of one: a :func:`~repro.sim.batch.make_batch_instance`
+    stepped to completion by :class:`~repro.sim.batch.LinialBatchStepper`,
+    the one Linial execution core.
+    """
     with _phase(recorder, "csr_build"):
         csr = _csr if _csr is not None else CSRGraph.from_networkx(graph)
-    n = csr.n
-    delta = int(csr.degrees.max()) if n else 0
-    if initial_colors is None:
-        initial_colors = {v: i for i, v in enumerate(csr.nodes)}
-    m0 = max(initial_colors.values()) + 1 if initial_colors else 1
     with _phase(recorder, "schedule"):
-        sched = (
-            linial_schedule(m0, delta)
-            if defect == 0
-            else defective_schedule(m0, delta, defect)
+        inst = make_batch_instance(
+            csr=csr,
+            initial_colors=initial_colors,
+            defect=defect,
+            faults=faults,
+            recorder=recorder,
         )
-    palette = sched[-1].out_colors if sched else m0
-
-    colors = csr.gather(initial_colors)
-    # match the reference driver's default CONGEST budget
-    metrics = synthesized_metrics(n)
-    bits = int_bits(max(1, m0 - 1))
-    per_round_messages = csr.num_directed_edges
-
-    if faults is not None:
-        try:
-            with _phase(recorder, "rounds"):
-                colors = _linial_faulty_rounds(
-                    csr, sched, colors, bits, faults, metrics, recorder
-                )
-        except HaltingError:
-            # flush the partial per-round record before propagating —
-            # the same post-mortem contract as SyncNetwork.run's halt path
-            if recorder is not None:
-                recorder.finalize(
-                    metrics,
-                    n=n,
-                    m=csr.num_directed_edges // 2,
-                    palette=palette,
-                    algorithm=recorder.algorithm or "linial_vectorized",
-                )
-            raise
-    else:
-        with _phase(recorder, "rounds"):
-            for step in sched:
-                q, deg = step.q, step.deg
-                digits = poly_digits(colors, q, deg)
-                evals = poly_eval_grid(digits, q)  # (q, n)
-                hits = collision_counts(csr, evals)  # (q, n) int64
-                best_x = np.argmin(hits, axis=0)  # first occurrence = smallest x
-                colors = best_x * q + evals[best_x, np.arange(n)]
-                record_uniform_round(
-                    metrics, recorder, per_round_messages, bits, active=n
-                )
-
-    result = ColoringResult(csr.scatter(colors))
-    if recorder is not None and _finalize_recorder:
-        recorder.finalize(
-            metrics,
-            n=n,
-            m=csr.num_directed_edges // 2,
-            palette=palette,
-            algorithm=recorder.algorithm or "linial_vectorized",
-        )
-    return result, metrics, palette
-
-
-def _linial_faulty_rounds(
-    csr: CSRGraph,
-    sched,
-    colors: np.ndarray,
-    bits: int,
-    faults,
-    metrics: RunMetrics,
-    recorder: "RunRecorder | None",
-) -> np.ndarray:
-    """The mask-based faulty Linial round loop (see :func:`linial_vectorized`).
-
-    Mirrors the reference simulator's delivery semantics edge for edge:
-    transmissions are drawn from active+alive senders, fates come from the
-    plan's vectorized hash (pinned equal to the scalar hash), delayed and
-    duplicated copies sit in a per-round pending buffer whose stale
-    entries are overwritten by fresher same-edge deliveries, deliveries to
-    crashed receivers are discarded, and receivers decode only payloads
-    inside their step's ``q^(deg+1)`` domain.  Nodes advance one schedule
-    step per round they are up, so crash outages leave step *skew* —
-    distinct steps are processed group by group, exactly like the
-    per-node reference receive.
-    """
-    from ..faults.plan import (
-        FATE_CORRUPT,
-        FATE_DELAY,
-        FATE_DELIVER,
-        FATE_DROP,
-        FATE_DUPLICATE,
-        node_labels_u64,
-    )
-    from .node import HaltingError
-
-    n = csr.n
-    total_steps = len(sched)
-    steps = np.zeros(n, dtype=np.int64)
-    colors = colors.copy()
-    labels = node_labels_u64(csr.nodes)
-    src_labels = labels[csr.src]
-    dst_labels = labels[csr.indices]
-    num_edges = csr.num_directed_edges
-    max_rounds = faults.round_budget(total_steps)
-    # deliver_round -> [(edge indices, payload snapshot), ...] in the order
-    # scheduled; later writes overwrite earlier ones like the reference's
-    # sender-keyed inbox.
-    pending: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-
-    rnd = 0
-    while bool((steps < total_steps).any()):
-        if rnd >= max_rounds:
-            unfinished = [
-                csr.nodes[i] for i in np.nonzero(steps < total_steps)[0]
-            ]
-            raise HaltingError(rounds=rnd, unfinished=unfinished)
-        alive = ~faults.crashed_mask(rnd, labels)
-        active = steps < total_steps
-        transmit = (active & alive)[csr.src]
-        counts = dict.fromkeys(
-            ("dropped", "corrupted", "delayed", "duplicated"), 0
-        )
-        counts["crashed"] = int(n - alive.sum())
-
-        delivered = np.full(num_edges, -1, dtype=np.int64)
-        for edge_idx, values in pending.pop(rnd, ()):
-            delivered[edge_idx] = values
-        if transmit.any():
-            codes, delays = faults.edge_fates(rnd, src_labels, dst_labels)
-            codes = np.where(transmit, codes, -1)
-            payload = colors[csr.src]
-            counts["dropped"] = int((codes == FATE_DROP).sum())
-            counts["corrupted"] = int((codes == FATE_CORRUPT).sum())
-            counts["delayed"] = int((codes == FATE_DELAY).sum())
-            counts["duplicated"] = int((codes == FATE_DUPLICATE).sum())
-            for code in (FATE_DELAY, FATE_DUPLICATE):
-                idx = np.nonzero(codes == code)[0]
-                for d in np.unique(delays[idx]):
-                    sel = idx[delays[idx] == d]
-                    pending.setdefault(rnd + int(d), []).append(
-                        (sel, payload[sel].copy())
-                    )
-            now = (codes == FATE_DELIVER) | (codes == FATE_DUPLICATE)
-            delivered[now] = payload[now]
-            corrupt = codes == FATE_CORRUPT
-            if corrupt.any():
-                delivered[corrupt] = faults.corrupt_values(
-                    rnd,
-                    src_labels[corrupt],
-                    dst_labels[corrupt],
-                    payload[corrupt],
-                )
-        # deliveries (stale included) to crashed receivers are discarded
-        delivered[~alive[csr.indices]] = -1
-
-        receiving = active & alive
-        new_colors = colors.copy()
-        for s in np.unique(steps[receiving]):
-            step = sched[s]
-            q, deg = step.q, step.deg
-            domain = q ** (deg + 1)
-            group = receiving & (steps == s)
-            own_evals = poly_eval_grid(poly_digits(colors, q, deg), q)  # (q, n)
-            edge_ok = (
-                group[csr.indices] & (delivered >= 0) & (delivered < domain)
-            )
-            hits = np.zeros((q, n), dtype=np.int64)
-            if edge_ok.any():
-                edge_dst = csr.indices[edge_ok]
-                edge_evals = poly_eval_grid(
-                    poly_digits(delivered[edge_ok], q, deg), q
-                )  # (q, #ok)
-                match = edge_evals == own_evals[:, edge_dst]
-                for x in range(q):
-                    hits[x] = np.bincount(edge_dst[match[x]], minlength=n)
-            members = np.nonzero(group)[0]
-            best_x = np.argmin(hits[:, members], axis=0)  # first occurrence
-            new_colors[members] = best_x * q + own_evals[best_x, members]
-        colors = new_colors
-        steps[receiving] += 1
-
-        record_uniform_round(
-            metrics,
-            recorder,
-            int(transmit.sum()),
-            bits,
-            active=int(active.sum()),
-            faults=counts,
-        )
-        rnd += 1
-    return colors
+    inst.flush_recorder = False
+    with _phase(recorder, "rounds"):
+        LinialBatchStepper([inst]).run_to_completion()
+    # flushed after the rounds phase closes, so the record's timings
+    # include it; a halted run flushes its partial record before raising
+    # — the same post-mortem contract as SyncNetwork.run's halt path
+    if recorder is not None and (inst.error is not None or _finalize_recorder):
+        inst.flush_record()
+    if inst.error is not None:
+        raise inst.error
+    return inst.result
 
 
 def schedule_reduction_vectorized(
@@ -723,7 +532,8 @@ def _fk24_faulty_rounds(
     """The mask-based faulty FK24 round loop (see :func:`fk24_vectorized`).
 
     Mirrors the reference simulator's delivery semantics edge for edge
-    (same machinery as :func:`_linial_faulty_rounds`): transmissions come
+    (same machinery as :meth:`repro.sim.batch.BatchInstance._faulty_round`):
+    transmissions come
     from active+alive senders, fates from the plan's vectorized hash,
     delayed/duplicated copies sit in a pending buffer overwritten by
     fresher same-edge deliveries, and deliveries to crashed receivers are

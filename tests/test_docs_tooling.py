@@ -6,13 +6,15 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 
-def load_gen_api_docs():
-    spec = importlib.util.spec_from_file_location(
-        "gen_api_docs", REPO / "tools" / "gen_api_docs.py"
-    )
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, REPO / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_gen_api_docs():
+    return load_tool("gen_api_docs")
 
 
 class TestApiDocGenerator:
@@ -50,6 +52,43 @@ class TestApiDocGenerator:
             "ListDefectiveInstance",
         ):
             assert needle in text, f"{needle} missing from docs/API.md"
+
+
+class TestFindDeadDefs:
+    def test_reports_only_test_referenced_definitions(self, tmp_path):
+        tool = load_tool("find_dead_defs")
+        pkg = tmp_path / "src" / "pkg"
+        pkg.mkdir(parents=True)
+        (pkg / "mod.py").write_text(
+            "LIMIT = 3\n"
+            "def used():\n    return LIMIT\n"
+            "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+            "def by_name():\n    pass\n"
+            "def tested_only():\n    pass\n"
+            "class Orphan:\n    pass\n"
+        )
+        (pkg / "app.py").write_text(
+            "from .mod import used\n"
+            "import pkg.mod as m\n"
+            "def main():\n    return used(), getattr(m, 'by_name')\n"
+        )
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_mod.py").write_text(
+            "from pkg.mod import tested_only, Orphan, recursive\n"
+        )
+        (tmp_path / "pyproject.toml").write_text(
+            '[project.scripts]\ncli = "pkg.app:main"\n'
+        )
+        dead = tool.find_dead([tmp_path / "src"], repo=tmp_path)
+        assert sorted(name for _, _, name in dead) == [
+            "Orphan",
+            "recursive",
+            "tested_only",
+        ]
+
+    def test_sim_package_has_no_dead_definitions(self):
+        tool = load_tool("find_dead_defs")
+        assert tool.find_dead([REPO / "src" / "repro" / "sim"]) == []
 
 
 class TestRepoDocs:

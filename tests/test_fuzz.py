@@ -347,28 +347,6 @@ class TestBatchedDispatchByValue:
         assert calls == []  # per-case, so the mutated fast side actually ran
         assert all(not o.ok for o in outcomes)
 
-    def test_compiled_registry_batches_linial(self, monkeypatch):
-        from repro.fuzz import COMPILED_PAIRS, run_cases_batched
-        from repro.fuzz import differential
-
-        calls = []
-        real = differential._CPL_BATCH["linial"]
-
-        def spy(cases):
-            calls.append(len(cases))
-            return real(cases)
-
-        monkeypatch.setitem(differential._CPL_BATCH, "linial", spy)
-        cases = [
-            c
-            for c in self._cases("linial", count=8)
-            if c.fault is None  # compiled backend skips fault cases
-        ]
-        assert len(cases) >= 2
-        outcomes = run_cases_batched(cases, pairs=COMPILED_PAIRS)
-        assert calls == [len(cases)]
-        assert all(o.ok for o in outcomes)
-
 
 class TestCaseValidation:
     def test_duplicate_nodes_rejected(self):

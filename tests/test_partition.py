@@ -368,3 +368,51 @@ class TestWorkerDeath:
         for p in leaked:
             p.join(timeout=10.0)
         assert all(not p.is_alive() for p in leaked)
+
+    def test_start_failure_propagates_and_cleans_up(self, monkeypatch):
+        # shard 1's start() raises after shard 0 started: the start error
+        # must surface as-is (not an AssertionError from joining a
+        # never-started process), the shared block must be unlinked, and
+        # the started sibling reaped well inside its barrier timeout
+        import multiprocessing
+        import os
+        import time
+
+        from repro.sim import partition
+
+        fork = multiprocessing.get_context("fork")
+
+        class FailSecondStart(fork.Process):
+            starts = 0
+
+            def start(self):
+                FailSecondStart.starts += 1
+                if FailSecondStart.starts == 2:
+                    raise OSError("simulated start failure")
+                super().start()
+
+        class Context:
+            Process = FailSecondStart
+
+            def __getattr__(self, name):
+                return getattr(fork, name)
+
+        monkeypatch.setattr(partition.mp, "get_context", lambda _name: Context())
+        g = nx.random_regular_graph(3, 24, seed=6)
+        csr = CSRGraph.from_networkx(g)
+        colors = csr.gather(spread(g))
+        shm_before = set(os.listdir("/dev/shm"))
+        t0 = time.monotonic()
+        with pytest.raises(OSError, match="simulated start failure"):
+            run_partitioned_dense(
+                csr.n,
+                csr.indptr,
+                csr.indices,
+                colors,
+                [(17, 3), (7, 3)],
+                shards=2,
+                mp_context="fork",
+                barrier_timeout=30.0,
+            )
+        assert time.monotonic() - t0 < 15.0
+        assert set(os.listdir("/dev/shm")) - shm_before == set()

@@ -69,39 +69,24 @@ class TestBackendRegistry:
         from repro.sim.backends import CapabilityError, require
 
         with pytest.raises(CapabilityError, match="does not support algorithm"):
-            require("compiled", algorithm="classic")
-        assert require("compiled", algorithm="linial").name == "compiled"
+            require("partitioned", algorithm="greedy")
+        assert require("vectorized", algorithm="linial").name == "vectorized"
 
     def test_require_rejects_capability_mismatches(self):
         from repro.sim.backends import CapabilityError, require
 
         with pytest.raises(CapabilityError, match="fault injection"):
-            require("compiled", faults=True)
+            require("partitioned", faults=True)
         with pytest.raises(CapabilityError, match="batched execution"):
             require("reference", batch=True)
         assert require("vectorized", faults=True, batch=True).name == "vectorized"
 
-    def test_unavailable_backend_still_resolves(self):
-        """Graceful degradation: the compiled backend resolves whether or
-        not numba is importable — availability is reporting, not gating."""
-        from repro.sim.backends import get_backend, require
-        from repro.sim.compiled import NUMBA_AVAILABLE
-
-        spec = require("compiled", algorithm="linial", batch=True)
-        assert spec.available is NUMBA_AVAILABLE
-        if not spec.available:
-            assert "numpy fallback" in (spec.unavailable_reason or "")
-        assert get_backend("compiled") is spec
-
-    def test_describe_reports_availability(self):
-        from repro.sim.backends import describe
-        from repro.sim.compiled import NUMBA_AVAILABLE
+    def test_describe_lists_every_backend(self):
+        from repro.sim.backends import BACKENDS, describe
 
         text = describe()
-        for name in ("reference", "vectorized", "batched", "compiled"):
-            assert f"{name}: " in text
-        expected = "available" if NUMBA_AVAILABLE else "unavailable"
-        assert f"compiled: {expected}" in text
+        for name in BACKENDS:
+            assert f"{name}:\n" in text
 
     def test_sweep_algorithm_ownership(self):
         from repro.sim.backends import (
@@ -110,7 +95,6 @@ class TestBackendRegistry:
         )
 
         assert backend_of_sweep_algorithm("linial_vectorized").name == "vectorized"
-        assert backend_of_sweep_algorithm("linial_compiled").name == "compiled"
         assert backend_of_sweep_algorithm("linial").name == "reference"
         with pytest.raises(UnknownBackendError, match="no backend declares"):
             backend_of_sweep_algorithm("linial_quantum")
@@ -121,7 +105,7 @@ class TestBackendRegistry:
 
         derived = batchable_sweep_algorithms()
         assert BATCHABLE_ALGORITHMS == derived
-        assert "linial_compiled" in derived
+        assert "linial_vectorized" in derived
 
     def test_consistency_report_is_green(self):
         """The cross-module audit: every name list the registry replaced
@@ -135,7 +119,6 @@ class TestBackendRegistry:
 
     def test_pairs_for_backend_resolution(self):
         from repro.fuzz import (
-            COMPILED_PAIRS,
             ENGINE_PAIRS,
             PARTITIONED_PAIRS,
             pairs_for_backend,
@@ -144,7 +127,6 @@ class TestBackendRegistry:
 
         assert pairs_for_backend("vectorized") is ENGINE_PAIRS
         assert pairs_for_backend("batched") is ENGINE_PAIRS
-        assert pairs_for_backend("compiled") is COMPILED_PAIRS
         assert pairs_for_backend("partitioned") is PARTITIONED_PAIRS
         with pytest.raises(CapabilityError, match="baseline"):
             pairs_for_backend("reference")
@@ -171,7 +153,7 @@ class TestBackendRegistry:
         out = capsys.readouterr().out
         assert rc == 0
         assert "registry consistency: OK" in out
-        assert "compiled" in out
+        assert "partitioned" in out
 
     def test_cli_fuzz_rejects_unknown_backend(self, capsys):
         from repro.cli import main

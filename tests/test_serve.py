@@ -82,6 +82,44 @@ class TestStepperEquivalence:
         for inst, single in zip(by_uid, singles):
             triple_eq(inst.outcome(), single)
 
+    def test_static_drain_matches_reference(self):
+        # linial_vectorized itself runs on the stepper, so also pin the
+        # stepper against the independent per-message reference engine
+        from repro.algorithms.linial import run_linial
+
+        gs = self.graphs()
+        stepper = LinialBatchStepper(
+            [make_batch_instance(g, initial_colors=spread(g), defect=1) for g in gs]
+        )
+        done = sorted(stepper.run_to_completion(), key=lambda i: i.uid)
+        for inst, g in zip(done, gs):
+            triple_eq(inst.outcome(), run_linial(g, initial_colors=spread(g), defect=1))
+
+    def test_tile_csr_reused_while_membership_holds(self, monkeypatch):
+        # one multi-instance tile: packed once, reused every round, and
+        # only the current round's tiles are retained
+        from repro.sim.batch import BatchCSRGraph
+
+        packs = []
+        real = BatchCSRGraph.from_csrs.__func__
+
+        def spy(cls, csrs):
+            packs.append(len(csrs))
+            return real(cls, csrs)
+
+        monkeypatch.setattr(BatchCSRGraph, "from_csrs", classmethod(spy))
+        gs = [ring(16) for _ in range(4)]
+        stepper = LinialBatchStepper(
+            [make_batch_instance(g, initial_colors=spread(g)) for g in gs]
+        )
+        rounds = 0
+        while not stepper.drained:
+            stepper.step()
+            rounds += 1
+            assert len(stepper._tiles) <= 1
+        assert rounds >= 2
+        assert packs == [4]
+
     def test_staggered_admission_is_bit_identical(self):
         # admit one instance every round into a half-drained batch: the
         # composition any instance sees changes every round, the result
