@@ -106,6 +106,42 @@ def fk24_lists(
     return lists, space
 
 
+def fk24_inputs(
+    graph: nx.Graph,
+    lists: Mapping[Any, Iterable[int]] | None = None,
+    space_size: int | None = None,
+    defect: int = 1,
+) -> tuple[dict[Any, tuple[int, ...]], int]:
+    """Resolve one [FK24] run's inputs: ``(lists, space_size)``.
+
+    ``lists`` defaults to :func:`fk24_lists` (whose space is the default
+    ``space_size``), and an explicit ``lists`` without ``space_size``
+    spans ``max color + 1``.  Every engine resolves its inputs here, so
+    they all accept and reject the same instances: ``ValueError`` for a
+    negative ``defect`` and for a list color outside ``[0, space_size)``
+    (messages encode ``tag * space + color``, so such a color would
+    decode as a different message).
+    """
+    if defect < 0:
+        raise ValueError(f"defect must be >= 0, got {defect}")
+    if lists is None:
+        lists, built_space = fk24_lists(graph, defect)
+        if space_size is None:
+            space_size = built_space
+    lists = {v: tuple(lists[v]) for v in graph.nodes}
+    if space_size is None:
+        space_size = max((max(lst) for lst in lists.values() if lst), default=0) + 1
+    space = int(space_size)
+    for v, lst in lists.items():
+        for x in lst:
+            if not 0 <= x < space:
+                raise ValueError(
+                    f"node {v!r}: list color {x} outside the color space "
+                    f"[0, {space})"
+                )
+    return lists, space
+
+
 class FK24Algorithm(DistributedAlgorithm):
     """The [FK24] iterative list-defective algorithm as a per-node program.
 
@@ -205,20 +241,14 @@ def run_fk24(
 
     ``result.orientation`` orients every edge from the later adopter to the
     earlier one (ties toward the larger label), under which the coloring is
-    ``d``-arbdefective with colors from the lists.  ``lists`` defaults to
-    :func:`fk24_lists`; ``palette_size`` is ``|C|``.  ``adoption_out``, if
+    ``d``-arbdefective with colors from the lists.  Inputs resolve through
+    :func:`fk24_inputs`; ``palette_size`` is ``|C|``.  ``adoption_out``, if
     given, is filled with each node's adoption round — the differential
     harness compares it across engines.  ``wrap`` / ``faults`` /
     ``recorder`` behave as in :func:`~repro.algorithms.linial.run_linial`.
     """
     n = graph.number_of_nodes()
-    if lists is None:
-        lists, built_space = fk24_lists(graph, defect)
-        if space_size is None:
-            space_size = built_space
-    lists = {v: tuple(lists[v]) for v in graph.nodes}
-    if space_size is None:
-        space_size = max((max(lst) for lst in lists.values() if lst), default=0) + 1
+    lists, space_size = fk24_inputs(graph, lists, space_size, defect)
     budget = fk24_round_budget(lists.values(), n)
     max_rounds = budget if faults is None else faults.round_budget(budget)
     net = SyncNetwork(graph, model=model)

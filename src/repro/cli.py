@@ -876,7 +876,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--batch", type=int, default=0,
                         help="batch size for the vectorized side (corpus "
                              "replay + fuzz trials run through one "
-                             "block-diagonal execution per chunk; 0/1 = "
+                             "batched engine invocation per chunk; 0/1 = "
                              "per-case loop)")
     p_fuzz.set_defaults(func=_cmd_fuzz)
 

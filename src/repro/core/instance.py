@@ -31,8 +31,6 @@ import networkx as nx
 
 from .colorspace import ColorSpace
 
-DefectFn = Mapping[int, int]
-
 
 @dataclass
 class ListDefectiveInstance:

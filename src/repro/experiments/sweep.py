@@ -59,7 +59,7 @@ Fault tolerance (the shape a long overnight sweep actually needs):
   count.
 
 Workers batch before they loop: pending cells that share a
-:data:`BATCHABLE_ALGORITHMS` algorithm are packed into one block-diagonal
+:data:`BATCHABLE_ALGORITHMS` algorithm are frozen into one
 :class:`~repro.sim.batch.BatchCSRGraph` execution per algorithm
 (:func:`compute_cells_batched`) — identical records cell for cell, one
 engine invocation for the whole group — with cached cells excluded from
@@ -100,7 +100,7 @@ from typing import Any, Callable, Mapping, Sequence
 from ..atomic import atomic_write_text, sweep_stale_tmp
 
 #: Version of the cached cell-record layout.  Bump whenever the record
-#: gains, loses, or reinterprets fields; :func:`load_cached` treats any
+#: gains, loses, or reinterprets fields; :func:`load_cached_detailed` treats any
 #: other version (including records from before this field existed) as a
 #: cache miss, so stale layouts are recomputed instead of silently served.
 #: v3: records gained ``status`` ("ok" | "failed") and, on failure, a
@@ -418,11 +418,11 @@ def _batchable_algorithms() -> tuple[str, ...]:
     return batchable_sweep_algorithms()
 
 
-#: Fast paths with a block-diagonal batched twin (:mod:`repro.sim.batch`).  Derived from the
+#: Fast paths with a batched twin (:mod:`repro.sim.batch`).  Derived from the
 #: backend registry (:func:`repro.sim.backends.batchable_sweep_algorithms`)
 #: so a backend declaring an algorithm ``batched`` is the single source of
 #: truth.  A worker batch whose pending cells share one of these
-#: algorithms runs them as a single block-diagonal execution (see
+#: algorithms runs them as a single batched engine invocation (see
 #: :func:`compute_cells_batched`) instead of looping `compute_cell`.
 BATCHABLE_ALGORITHMS: tuple[str, ...] = _batchable_algorithms()
 
@@ -660,10 +660,12 @@ def _run_batched(algorithm: str, built: list[tuple]) -> list[Any]:
 
 
 def compute_cells_batched(cells: Sequence[SweepCell]) -> list[dict[str, Any]]:
-    """Compute same-algorithm cells as one block-diagonal batched run.
+    """Compute same-algorithm cells as one batched engine invocation.
 
-    The cells' graphs are packed into a single
-    :class:`~repro.sim.batch.BatchCSRGraph` execution; per-cell records
+    The cells' graphs are frozen into one
+    :class:`~repro.sim.batch.BatchCSRGraph` and run by the algorithm's
+    batched twin — Linial-based rounds packed block-diagonally, FK24
+    instances stepped one by one on the same stepper; per-cell records
     come back identical to :func:`compute_cell`'s except for the clock
     fields: ``wall_s`` is the *actual* wall time of the whole batched
     engine invocation (not an even split — splitting fabricated per-cell
@@ -789,17 +791,6 @@ def load_cached_detailed(
     return record, "hit"
 
 
-def load_cached(cache_dir: Path | str, cell: SweepCell) -> dict[str, Any] | None:
-    """The cached ``ok`` record of a cell, or ``None``.
-
-    Thin wrapper over :func:`load_cached_detailed` (which also quarantines
-    unreadable files as ``.json.corrupt``); failure records, stale
-    schemas, and corrupt files all read as misses here.
-    """
-    record, status = load_cached_detailed(cache_dir, cell)
-    return record if status == "hit" else None
-
-
 def store_cached(cache_dir: Path | str, record: dict[str, Any]) -> Path:
     """Atomically persist a cell record under its key.
 
@@ -853,7 +844,7 @@ def _compute_batch(
 
     Cells that survive the cache probe and share a
     :data:`BATCHABLE_ALGORITHMS` algorithm run together as one
-    block-diagonal :func:`compute_cells_batched` execution (cached cells
+    :func:`compute_cells_batched` execution (cached cells
     are excluded from the packing — no recompute); everything else falls
     back to the per-cell loop.  Either way, a cell whose computation
     raises is quarantined as a :func:`failed_record`; the rest of the

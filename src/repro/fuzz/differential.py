@@ -703,12 +703,13 @@ def run_cases_batched(
 ) -> list[CaseOutcome]:
     """Differential trials with the vectorized side batched per pair.
 
-    All cases of one stock pair run as a single block-diagonal
-    :mod:`repro.sim.batch` execution; the reference side, the judge, and
-    the oracles are per-case, so each :class:`CaseOutcome` — messages,
-    ordering, accounting — is identical to :func:`run_case`'s.  Batching
-    is resolved by :func:`_batched_runner` *value* equality, so a
-    ``pairs=`` registry holding copies of stock pairs keeps the batched
+    All cases of one stock pair run as a single :mod:`repro.sim.batch`
+    invocation (Linial-based pairs packed block-diagonally, FK24 cases
+    stepped one by one on the same stepper); the reference side, the
+    judge, and the oracles are per-case, so each :class:`CaseOutcome` —
+    messages, ordering, accounting — is identical to :func:`run_case`'s.
+    Batching is resolved by :func:`_batched_runner` *value* equality, so
+    a ``pairs=`` registry holding copies of stock pairs keeps the batched
     path; genuinely mutated pairs and singleton groups fall back to
     :func:`run_case`.
     """

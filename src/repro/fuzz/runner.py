@@ -112,7 +112,7 @@ def fuzz_run(
     batch_size:
         When > 1, trials run in chunks of this size through
         :func:`~repro.fuzz.run_cases_batched` (the fast side of each
-        chunk is one block-diagonal execution).  Trial generation order,
+        chunk is one batched engine invocation).  Trial generation order,
         seeds, outcomes, shrinking, and pinning are unchanged — only the
         execution strategy differs.  0/1 keep the per-case loop.
     backend:

@@ -116,16 +116,6 @@ def load_json(path: str | Path) -> dict[str, Any]:
     return json.loads(Path(path).read_text())
 
 
-def save_instance(instance: ListDefectiveInstance, path: str | Path) -> None:
-    """Serialize one instance to a JSON file."""
-    save_json(instance_to_dict(instance), path)
-
-
-def load_instance(path: str | Path) -> ListDefectiveInstance:
-    """Load an instance saved by :func:`save_instance`."""
-    return instance_from_dict(load_json(path))
-
-
 def save_run(
     instance: ListDefectiveInstance,
     result: ColoringResult,

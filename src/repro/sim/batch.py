@@ -21,6 +21,10 @@ The packing is literal block-diagonal structure:
   shape alone guarantees no cross-instance counting;
 * ``instance_id`` maps every dense node back to its member.
 
+FK24 is the exception: its batch freezes the graphs the same way, but
+each :class:`Fk24Instance` runs its own rounds on its member CSR — a
+packed FK24 round loop measured no faster (``docs/BACKENDS.md``).
+
 **Equivalence contract** (the point of the whole module): each batched
 kernel produces, per instance, the *identical* ``(output, RunMetrics,
 palette)`` triple — and, with recorders attached, the identical obs
@@ -33,7 +37,8 @@ primitive the single-instance paths charge through.  The battery in
 ``tests/test_batch.py`` replays the entire fuzz corpus through this
 module at batch sizes 1/4/16 and asserts node-for-node equality.
 
-Fault injection batches too: :func:`linial_vectorized_batch` accepts one
+Fault injection batches too: :func:`linial_vectorized_batch` and
+:func:`fk24_vectorized_batch` accept one
 :class:`~repro.faults.FaultPlan` (or ``None``) per instance; plans are
 pure functions of ``(seed, round, node labels)``, so each member of the
 batch sees exactly the adversary its single-instance run would.  An
@@ -51,7 +56,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
-from ..core.coloring import ColoringResult
+from ..core.coloring import ColoringResult, orientation_from_priority
 from .engine import (
     CSRGraph,
     equal_neighbor_counts,
@@ -69,7 +74,8 @@ from .node import HaltingError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> sim)
     from ..obs import RunRecorder
 
-#: Sentinel larger than any within-list position (greedy first-free scan).
+#: Sentinel larger than any within-list position (greedy first-free and
+#: FK24 first-viable scans).
 _NO_PICK = np.int64(1) << np.int64(60)
 
 
@@ -330,16 +336,30 @@ def _int_list(value, k: int, name: str) -> list[int]:
     return [int(value)] * k
 
 
-def _write_back(
-    batch: BatchCSRGraph, js: list[int], colors: np.ndarray, sub_colors: np.ndarray
-) -> None:
-    """Scatter a sub-batch's dense values back into the full batch array."""
-    off = 0
-    for j in js:
-        sl = batch.node_slice(j)
-        cnt = sl.stop - sl.start
-        colors[sl] = sub_colors[off : off + cnt]
-        off += cnt
+def _drain(
+    instances: list["BatchInstance"],
+    recorders: Sequence["RunRecorder | None"],
+    finalize_recorders: bool = True,
+) -> list:
+    """Step ``instances`` to completion inside one ``rounds`` phase and
+    return each outcome (result triple or per-instance exception).
+
+    Records are flushed after the phase closes, so their timings include
+    it; a halted instance always flushes its partial record — the same
+    post-mortem contract as ``SyncNetwork.run``'s halt path — while a
+    completed one flushes only when ``finalize_recorders`` (a composing
+    caller finalizes against merged metrics itself).
+    """
+    for inst in instances:
+        inst.flush_recorder = False
+    with _phase_all(recorders, "rounds"):
+        LinialBatchStepper(instances).run_to_completion()
+    for inst in instances:
+        if inst.recorder is not None and (
+            inst.error is not None or finalize_recorders
+        ):
+            inst.flush_record()
+    return [inst.outcome() for inst in instances]
 
 
 def _raise_or_return(results: list, return_exceptions: bool) -> list:
@@ -431,18 +451,7 @@ def linial_vectorized_batch(
             )
             for j, member in enumerate(batch.members)
         ]
-    for inst in instances:
-        inst.flush_recorder = False
-    with _phase_all(recs, "rounds"):
-        LinialBatchStepper(instances).run_to_completion()
-    results = []
-    for inst in instances:
-        # flushed after the rounds phase closes (see linial_vectorized)
-        if inst.recorder is not None and (
-            inst.error is not None or _finalize_recorders
-        ):
-            inst.flush_record()
-        results.append(inst.outcome())
+    results = _drain(instances, recs, _finalize_recorders)
     return _raise_or_return(results, return_exceptions)
 
 
@@ -465,294 +474,6 @@ def _segments(
 # ----------------------------------------------------------------------
 # batched FK24 simple iterative list-defective coloring
 # ----------------------------------------------------------------------
-def _fk24_rounds_batch(
-    sub: BatchCSRGraph,
-    list_indptr: np.ndarray,
-    list_values: np.ndarray,
-    space_arr: np.ndarray,
-    defect_arr: np.ndarray,
-    budgets: list[int],
-    bits_list: list[int],
-    metrics_list: list[RunMetrics],
-    recorders: list,
-) -> tuple[np.ndarray, np.ndarray, list[BaseException | None]]:
-    """Batched twin of :func:`repro.sim.vectorized._fk24_rounds`.
-
-    All instances share one global round clock (every single-instance
-    run starts at round 0), and the block-diagonal adjacency keeps the
-    try/took exchanges instance-local by construction.  FK24's per-round
-    message and active counts *vary* as nodes adopt and halt, so — unlike
-    the schedule-driven Linial batch — accounting is demultiplexed per
-    live instance inside the loop, not replayed afterwards.  An instance
-    whose (invalid) instance idles past its round budget is halted with
-    the identical :class:`~repro.sim.node.HaltingError`, returned per
-    instance so siblings keep running.
-    """
-    from .vectorized import _fk24_candidates
-
-    k = sub.k
-    n_tot = sub.n
-    degrees = np.diff(sub.indptr)
-    status = np.zeros(n_tot, dtype=np.int64)
-    colors = np.full(n_tot, -1, dtype=np.int64)
-    adopted = np.full(n_tot, -1, dtype=np.int64)
-    counts = np.zeros(
-        (n_tot, max(1, int(space_arr.max()) if n_tot else 1)), dtype=np.int64
-    )
-    owner = np.repeat(np.arange(n_tot, dtype=np.int64), np.diff(list_indptr))
-    idx = np.arange(n_tot, dtype=np.int64)
-    participating = np.ones(n_tot, dtype=bool)
-    halted = [False] * k
-    errors: list[BaseException | None] = [None] * k
-
-    rnd = 0
-    while True:
-        live = [
-            j
-            for j in range(k)
-            if not halted[j] and bool((status[sub.node_slice(j)] < 2).any())
-        ]
-        if not live:
-            break
-        for j in list(live):
-            if rnd >= budgets[j]:
-                sl = sub.node_slice(j)
-                unfinished = [
-                    sub.members[j].nodes[i]
-                    for i in np.nonzero(status[sl] < 2)[0]
-                ]
-                errors[j] = HaltingError(rounds=rnd, unfinished=unfinished)
-                halted[j] = True
-                participating[sl] = False
-                live.remove(j)
-        if not live:
-            break
-        trying = (status == 0) & participating
-        announcing = (status == 1) & participating
-        active = (status < 2) & participating
-        has_cand, cand_color = _fk24_candidates(
-            counts, owner, list_indptr, list_values, defect_arr, trying
-        )
-        sending = has_cand | announcing
-        took_edge = announcing[sub.src]
-        if took_edge.any():
-            np.add.at(
-                counts,
-                (sub.indices[took_edge], colors[sub.src[took_edge]]),
-                1,
-            )
-        taken = np.zeros(n_tot, dtype=np.int64)
-        taken[has_cand] = counts[idx[has_cand], cand_color[has_cand]]
-        conflict = (
-            has_cand[sub.src]
-            & has_cand[sub.indices]
-            & (sub.src < sub.indices)
-            & (cand_color[sub.src] == cand_color[sub.indices])
-        )
-        stronger = np.bincount(sub.indices[conflict], minlength=n_tot)
-        adopt = has_cand & (taken + stronger <= defect_arr)
-        status[announcing] = 2
-        status[adopt] = 1
-        colors[adopt] = cand_color[adopt]
-        adopted[adopt] = rnd
-        for j in live:
-            sl = sub.node_slice(j)
-            record_uniform_round(
-                metrics_list[j],
-                recorders[j],
-                int(degrees[sl][sending[sl]].sum()),
-                bits_list[j],
-                active=int(active[sl].sum()),
-            )
-        rnd += 1
-    return colors, adopted, errors
-
-
-def _fk24_faulty_rounds_batch(
-    sub: BatchCSRGraph,
-    list_indptr: np.ndarray,
-    list_values: np.ndarray,
-    space_arr: np.ndarray,
-    defect_arr: np.ndarray,
-    budgets: list[int],
-    bits_list: list[int],
-    plans: list,
-    metrics_list: list[RunMetrics],
-    recorders: list,
-) -> tuple[np.ndarray, np.ndarray, list[BaseException | None]]:
-    """Batched twin of :func:`repro.sim.vectorized._fk24_faulty_rounds`.
-
-    Per round, fates/crashes/corruptions are drawn per instance from
-    that instance's plan over its own label and edge slices —
-    bit-identical to the single-instance queries — while candidate
-    selection, delivery decoding, and the adoption rule run over the
-    whole batch at once.  ``space`` varies per instance, so payload
-    encoding and the ``[0, 2 * space)`` decode window use per-node /
-    per-edge space arrays.
-    """
-    from ..faults.plan import (
-        FATE_CORRUPT,
-        FATE_DELAY,
-        FATE_DELIVER,
-        FATE_DROP,
-        FATE_DUPLICATE,
-        node_labels_u64,
-    )
-    from .vectorized import _fk24_candidates
-
-    k = sub.k
-    n_tot = sub.n
-    num_edges = sub.num_directed_edges
-    labels = np.concatenate(
-        [node_labels_u64(m.nodes) for m in sub.members]
-    ) if k else np.empty(0, dtype=np.uint64)
-    src_lab = labels[sub.src]
-    dst_lab = labels[sub.indices]
-    space_dst = space_arr[sub.indices]
-    degrees = np.diff(sub.indptr)
-    status = np.zeros(n_tot, dtype=np.int64)
-    colors = np.full(n_tot, -1, dtype=np.int64)
-    adopted = np.full(n_tot, -1, dtype=np.int64)
-    counts2d = np.zeros(
-        (n_tot, max(1, int(space_arr.max()) if n_tot else 1)), dtype=np.int64
-    )
-    know = np.full(num_edges, -1, dtype=np.int64)
-    owner = np.repeat(np.arange(n_tot, dtype=np.int64), np.diff(list_indptr))
-    idx = np.arange(n_tot, dtype=np.int64)
-    participating = np.ones(n_tot, dtype=bool)
-    halted = [False] * k
-    errors: list[BaseException | None] = [None] * k
-    pending: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-
-    rnd = 0
-    while True:
-        live = [
-            j
-            for j in range(k)
-            if not halted[j] and bool((status[sub.node_slice(j)] < 2).any())
-        ]
-        if not live:
-            break
-        for j in list(live):
-            if rnd >= budgets[j]:
-                sl = sub.node_slice(j)
-                unfinished = [
-                    sub.members[j].nodes[i]
-                    for i in np.nonzero(status[sl] < 2)[0]
-                ]
-                errors[j] = HaltingError(rounds=rnd, unfinished=unfinished)
-                halted[j] = True
-                participating[sl] = False
-                live.remove(j)
-        if not live:
-            break
-
-        alive = np.ones(n_tot, dtype=bool)
-        for j in live:
-            sl = sub.node_slice(j)
-            alive[sl] = ~plans[j].crashed_mask(rnd, labels[sl])
-        trying = (status == 0) & participating
-        announcing = (status == 1) & participating
-        active = (status < 2) & participating
-        has_cand, cand_color = _fk24_candidates(
-            counts2d, owner, list_indptr, list_values, defect_arr, trying
-        )
-        sending = (has_cand | announcing) & alive
-        transmit = sending[sub.src]
-
-        delivered = np.full(num_edges, -1, dtype=np.int64)
-        for edge_idx, values in pending.pop(rnd, ()):
-            delivered[edge_idx] = values
-        per_counts: dict[int, dict[str, int]] = {}
-        for j in live:
-            sl = sub.node_slice(j)
-            esl = sub.edge_slice(j)
-            fcounts = dict.fromkeys(
-                ("dropped", "corrupted", "delayed", "duplicated"), 0
-            )
-            fcounts["crashed"] = int(sub.members[j].n - alive[sl].sum())
-            tr = transmit[esl]
-            if tr.any():
-                codes, delays = plans[j].edge_fates(
-                    rnd, src_lab[esl], dst_lab[esl]
-                )
-                codes = np.where(tr, codes, -1)
-                payload = np.where(
-                    announcing[sub.src[esl]],
-                    space_arr[sub.src[esl]] + colors[sub.src[esl]],
-                    cand_color[sub.src[esl]],
-                )
-                fcounts["dropped"] = int((codes == FATE_DROP).sum())
-                fcounts["corrupted"] = int((codes == FATE_CORRUPT).sum())
-                fcounts["delayed"] = int((codes == FATE_DELAY).sum())
-                fcounts["duplicated"] = int((codes == FATE_DUPLICATE).sum())
-                for code in (FATE_DELAY, FATE_DUPLICATE):
-                    eidx = np.nonzero(codes == code)[0]
-                    for d in np.unique(delays[eidx]):
-                        sel = eidx[delays[eidx] == d]
-                        pending.setdefault(rnd + int(d), []).append(
-                            (sel + sub.edge_offsets[j], payload[sel].copy())
-                        )
-                dlv = delivered[esl]  # slice view: writes land in `delivered`
-                now = (codes == FATE_DELIVER) | (codes == FATE_DUPLICATE)
-                dlv[now] = payload[now]
-                corrupt = codes == FATE_CORRUPT
-                if corrupt.any():
-                    dlv[corrupt] = plans[j].corrupt_values(
-                        rnd,
-                        src_lab[esl][corrupt],
-                        dst_lab[esl][corrupt],
-                        payload[corrupt],
-                    )
-            per_counts[j] = fcounts
-        delivered[~alive[sub.indices]] = -1
-
-        took = (delivered >= space_dst) & (delivered < 2 * space_dst)
-        tk = np.nonzero(took)[0]
-        if tk.size:
-            newv = delivered[tk] - space_dst[tk]
-            oldv = know[tk]
-            chg = oldv != newv
-            tk, newv, oldv = tk[chg], newv[chg], oldv[chg]
-            dec = oldv >= 0
-            if dec.any():
-                np.add.at(counts2d, (sub.indices[tk[dec]], oldv[dec]), -1)
-            if tk.size:
-                np.add.at(counts2d, (sub.indices[tk], newv), 1)
-                know[tk] = newv
-        is_try = (delivered >= 0) & (delivered < space_dst)
-        taken = np.zeros(n_tot, dtype=np.int64)
-        receiver_cand = has_cand & alive
-        taken[receiver_cand] = counts2d[
-            idx[receiver_cand], cand_color[receiver_cand]
-        ]
-        conflict = (
-            is_try
-            & receiver_cand[sub.indices]
-            & (sub.src < sub.indices)
-            & (delivered == cand_color[sub.indices])
-        )
-        stronger = np.bincount(sub.indices[conflict], minlength=n_tot)
-        adopt = receiver_cand & (taken + stronger <= defect_arr)
-        status[announcing & alive] = 2
-        status[adopt] = 1
-        colors[adopt] = cand_color[adopt]
-        adopted[adopt] = rnd
-        for j in live:
-            sl = sub.node_slice(j)
-            esl = sub.edge_slice(j)
-            record_uniform_round(
-                metrics_list[j],
-                recorders[j],
-                int(transmit[esl].sum()),
-                bits_list[j],
-                active=int(active[sl].sum()),
-                faults=per_counts[j],
-            )
-        rnd += 1
-    return colors, adopted, errors
-
-
 def fk24_vectorized_batch(
     graphs: Sequence[Any],
     lists: Sequence[Mapping[Any, Any] | None] | None = None,
@@ -761,7 +482,6 @@ def fk24_vectorized_batch(
     recorders: Sequence["RunRecorder | None"] | None = None,
     faults: Sequence[Any] | None = None,
     return_exceptions: bool = False,
-    _finalize_recorders: bool = True,
     adoption_outs: Sequence[dict | None] | None = None,
 ) -> list:
     """Batched twin of :func:`repro.sim.vectorized.fk24_vectorized`.
@@ -776,10 +496,13 @@ def fk24_vectorized_batch(
     instance.  With ``return_exceptions=True`` an instance that halts
     (round-budget exhaustion under an adversarial plan) yields its
     :class:`~repro.sim.node.HaltingError` in place, siblings unaffected.
-    """
-    from ..algorithms.fk24 import fk24_lists, fk24_round_budget
-    from ..core.coloring import orientation_from_priority
 
+    The graphs are frozen once, block-diagonally; each member becomes a
+    :func:`make_fk24_instance` and one :class:`LinialBatchStepper`
+    drains them all.  FK24 instances are not packed: each advances
+    through its own round every step (measured no slower than a packed
+    FK24 round loop, see ``docs/BACKENDS.md``).
+    """
     gs = list(graphs)
     k = len(gs)
     recs = _seq_arg(recorders, k, "recorders")
@@ -787,146 +510,31 @@ def fk24_vectorized_batch(
     lists_seq = _seq_arg(lists, k, "lists")
     outs_seq = _seq_arg(adoption_outs, k, "adoption_outs")
     defects = _int_list(defect, k, "defect")
-    if isinstance(space_size, (list, tuple)):
-        if len(space_size) != k:
-            raise ValueError(
-                f"space_size must have one entry per instance ({k}), "
-                f"got {len(space_size)}"
-            )
-        spaces: list[int | None] = [
-            None if s is None else int(s) for s in space_size
-        ]
-    else:
-        spaces = [None if space_size is None else int(space_size)] * k
+    spaces = _seq_arg(
+        space_size if isinstance(space_size, (list, tuple)) else [space_size] * k,
+        k,
+        "space_size",
+    )
 
     with _phase_all(recs, "csr_build"):
         batch = BatchCSRGraph.from_graphs(gs)
-
-    ragged: list[tuple[np.ndarray, np.ndarray]] = []
-    budgets: list[int] = []
-    bits_list: list[int] = []
     with _phase_all(recs, "schedule"):
-        for j in range(k):
-            member = batch.members[j]
-            lst = lists_seq[j]
-            if lst is None:
-                lst, built_space = fk24_lists(gs[j], defects[j])
-                if spaces[j] is None:
-                    spaces[j] = built_space
-            lst = {v: tuple(lst[v]) for v in member.nodes}
-            if spaces[j] is None:
-                spaces[j] = (
-                    max((max(t) for t in lst.values() if t), default=0) + 1
-                )
-            ragged.append(ragged_lists(member, lst))
-            base = fk24_round_budget(lst.values(), member.n)
-            budgets.append(
-                base if plans[j] is None else plans[j].round_budget(base)
+        instances = [
+            make_fk24_instance(
+                gs[j],
+                csr=member,
+                lists=lists_seq[j],
+                space_size=spaces[j],
+                defect=defects[j],
+                faults=plans[j],
+                recorder=recs[j],
             )
-            bits_list.append(int_bits(max(1, 2 * spaces[j] - 1)))
-
-    def _assemble(js: list[int]) -> tuple[
-        BatchCSRGraph, np.ndarray, np.ndarray, np.ndarray, np.ndarray
-    ]:
-        """Sub-batch over members ``js`` plus its ragged/space/defect
-        arrays (concatenated in ``js`` order, matching the sub CSR)."""
-        if len(js) == k:
-            sub = batch
-        else:
-            sub = BatchCSRGraph.from_csrs([batch.members[j] for j in js])
-        indptr_parts = [np.zeros(1, dtype=np.int64)]
-        value_parts: list[np.ndarray] = []
-        off = 0
-        for j in js:
-            ip, vals = ragged[j]
-            indptr_parts.append(ip[1:] + off)
-            value_parts.append(vals)
-            off += int(vals.shape[0])
-        list_indptr = np.concatenate(indptr_parts)
-        list_values = (
-            np.concatenate(value_parts)
-            if value_parts
-            else np.empty(0, dtype=np.int64)
-        )
-        space_arr = np.concatenate(
-            [np.full(batch.members[j].n, spaces[j], dtype=np.int64) for j in js]
-        ) if js else np.empty(0, dtype=np.int64)
-        defect_arr = np.concatenate(
-            [np.full(batch.members[j].n, defects[j], dtype=np.int64) for j in js]
-        ) if js else np.empty(0, dtype=np.int64)
-        return sub, list_indptr, list_values, space_arr, defect_arr
-
-    metrics_list = [synthesized_metrics(batch.members[j].n) for j in range(k)]
-    colors = np.full(batch.n, -1, dtype=np.int64)
-    adopted = np.full(batch.n, -1, dtype=np.int64)
-    errors: list[BaseException | None] = [None] * k
-
-    plain = [j for j in range(k) if plans[j] is None]
-    faulty = [j for j in range(k) if plans[j] is not None]
-
-    if plain:
-        with _phase_all([recs[j] for j in plain], "rounds"):
-            sub, li, lv, sa, da = _assemble(plain)
-            sub_colors, sub_adopted, sub_errors = _fk24_rounds_batch(
-                sub, li, lv, sa, da,
-                [budgets[j] for j in plain],
-                [bits_list[j] for j in plain],
-                [metrics_list[j] for j in plain],
-                [recs[j] for j in plain],
-            )
-            _write_back(batch, plain, colors, sub_colors)
-            _write_back(batch, plain, adopted, sub_adopted)
-        for pos, j in enumerate(plain):
-            errors[j] = sub_errors[pos]
-    if faulty:
-        with _phase_all([recs[j] for j in faulty], "rounds"):
-            sub, li, lv, sa, da = _assemble(faulty)
-            sub_colors, sub_adopted, sub_errors = _fk24_faulty_rounds_batch(
-                sub, li, lv, sa, da,
-                [budgets[j] for j in faulty],
-                [bits_list[j] for j in faulty],
-                [plans[j] for j in faulty],
-                [metrics_list[j] for j in faulty],
-                [recs[j] for j in faulty],
-            )
-            _write_back(batch, faulty, colors, sub_colors)
-            _write_back(batch, faulty, adopted, sub_adopted)
-        for pos, j in enumerate(faulty):
-            errors[j] = sub_errors[pos]
-
-    results: list = [None] * k
-    for j in range(k):
-        member = batch.members[j]
-        if errors[j] is not None:
-            # flush the partial per-round record before surfacing the
-            # halt — the single-instance path's post-mortem contract
-            if recs[j] is not None:
-                recs[j].finalize(
-                    metrics_list[j],
-                    n=member.n,
-                    m=member.num_directed_edges // 2,
-                    palette=spaces[j],
-                    algorithm=recs[j].algorithm or "fk24_vectorized",
-                )
-            results[j] = errors[j]
-            continue
-        sl = batch.node_slice(j)
-        adoption = member.scatter(adopted[sl])
-        if outs_seq[j] is not None:
-            outs_seq[j].update(adoption)
-        res = ColoringResult(
-            member.scatter(colors[sl]),
-            orientation_from_priority(gs[j], adoption),
-        )
-        if recs[j] is not None and _finalize_recorders:
-            recs[j].finalize(
-                metrics_list[j],
-                n=member.n,
-                m=member.num_directed_edges // 2,
-                palette=spaces[j],
-                algorithm=recs[j].algorithm or "fk24_vectorized",
-            )
-        results[j] = (res, metrics_list[j], spaces[j])
+            for j, member in enumerate(batch.members)
+        ]
+    results = _drain(instances, recs)
+    for inst, out in zip(instances, outs_seq):
+        if out is not None and inst.error is None:
+            out.update(inst.adoption())
     return _raise_or_return(results, return_exceptions)
 
 
@@ -1193,20 +801,21 @@ def classic_delta_plus_one_vectorized_batch(
 class BatchInstance:
     """One Linial instance's complete state inside a round-stepped run.
 
-    The batched kernels above are *drain* drivers: they take k instances,
-    loop rounds internally, and return k results.  A serving scheduler
-    needs the inverse control flow — *it* owns the round loop, so it can
-    evict finished instances and admit queued ones between rounds
-    (continuous batching).  A ``BatchInstance`` is therefore one
+    The :class:`LinialBatchStepper` owns the round loop, so a serving
+    scheduler can evict finished instances and admit queued ones between
+    rounds (continuous batching).  A ``BatchInstance`` is therefore one
     instance's progress made explicit and portable: its CSR, schedule,
     current colors, per-node step counters, metrics, and (optionally) the
     :class:`~repro.faults.FaultPlan` adversary with its local round
     clock and pending-delivery buffer.  Because a Linial run is a pure
-    function of ``(colors, schedule[, plan])`` and the block-diagonal
-    packing never lets information cross instance boundaries, an
-    instance computes the *identical* result no matter which batch
-    composition — or admission round — each of its steps executed under.
+    function of ``(colors, schedule[, plan])`` and no round kernel ever
+    reads across an instance boundary, an instance computes the
+    *identical* result no matter which batch composition — or admission
+    round — each of its steps executed under.
 
+    The lifecycle (``uid``, :attr:`complete`, :meth:`finalize`,
+    :meth:`flush_record`, :meth:`outcome`, ``rounds_resident``) and the
+    faulty delivery machinery are shared with :class:`Fk24Instance`.
     Build instances with :func:`make_batch_instance`; drive them with
     :class:`LinialBatchStepper`.
     """
@@ -1217,6 +826,9 @@ class BatchInstance:
     #: ``rounds`` profiler phase has closed, so the record's timings
     #: include that phase.
     flush_recorder = True
+    #: The algorithm name a record is finalized under when its recorder
+    #: names none.
+    algorithm = "linial_vectorized"
 
     def __init__(
         self,
@@ -1229,31 +841,41 @@ class BatchInstance:
         plan=None,
         recorder: "RunRecorder | None" = None,
     ) -> None:
+        self._setup(csr, colors, palette, bits, plan, recorder, len(sched))
+        self.sched = sched
+        self.step = 0
+        if plan is not None:
+            self._steps = np.zeros(csr.n, dtype=np.int64)
+
+    def _setup(
+        self, csr, colors, palette, bits, plan, recorder, budget: int
+    ) -> None:
+        """The state every instance kind shares: identity, outputs,
+        accounting, and the local round clock with its ``budget``
+        (stretched by the plan, whose label arrays it also freezes)."""
         BatchInstance._next_uid += 1
         #: Stable identity across repacks (assigned at construction).
         self.uid = BatchInstance._next_uid
         self.csr = csr
-        self.sched = sched
         self.colors = colors
         self.palette = palette
         self.bits = bits
         self.plan = plan
         self.recorder = recorder
         self.metrics = synthesized_metrics(csr.n)
-        self.step = 0
         self.rounds_resident = 0
         self.error: BaseException | None = None
         self.result: tuple | None = None
+        self._sealed = False
+        self._rnd = 0
+        self._budget = budget if plan is None else plan.round_budget(budget)
         if plan is not None:
             from ..faults.plan import node_labels_u64
 
-            self._steps = np.zeros(csr.n, dtype=np.int64)
             self._labels = node_labels_u64(csr.nodes)
             self._src_labels = self._labels[csr.src]
             self._dst_labels = self._labels[csr.indices]
-            self._budget = plan.round_budget(len(sched))
             self._pending: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-            self._rnd = 0
 
     # ------------------------------------------------------------------
     @property
@@ -1268,14 +890,24 @@ class BatchInstance:
     @property
     def finished(self) -> bool:
         """True once :meth:`finalize` sealed the instance's outcome."""
-        return self.result is not None or self.error is not None
+        return self._sealed
 
-    def current_step(self):
-        """The schedule step this instance executes next (plain path)."""
-        return self.sched[self.step]
+    def pack_key(self) -> tuple[int, int] | None:
+        """The ``(q, deg)`` group the stepper packs this instance's next
+        round into, or ``None`` when it runs its own round
+        (:meth:`advance`) — as every faulty instance does."""
+        if self.plan is not None:
+            return None
+        step = self.sched[self.step]
+        return step.q, step.deg
+
+    def advance(self) -> None:
+        """Run this instance's next round on its own: the faulty round
+        (fault-free Linial rounds are packed by the stepper)."""
+        self._faulty_round()
 
     # ------------------------------------------------------------------
-    def finalize(self, algorithm: str = "linial_vectorized") -> None:
+    def finalize(self, algorithm: str | None = None) -> None:
         """Seal the outcome: build the result triple (or flush the halt).
 
         A halted instance flushes its partial per-round record before the
@@ -1283,25 +915,25 @@ class BatchInstance:
         ``(ColoringResult, RunMetrics, palette)`` triple as its
         single-instance twin.
         """
-        if self.finished:
+        if self._sealed:
             return
+        self._sealed = True
         if self.recorder is not None and self.flush_recorder:
             self.flush_record(algorithm)
         if self.error is None:
-            self.result = (
-                ColoringResult(self.csr.scatter(self.colors)),
-                self.metrics,
-                self.palette,
-            )
+            self.result = (self._coloring(), self.metrics, self.palette)
 
-    def flush_record(self, algorithm: str = "linial_vectorized") -> None:
+    def _coloring(self) -> ColoringResult:
+        return ColoringResult(self.csr.scatter(self.colors))
+
+    def flush_record(self, algorithm: str | None = None) -> None:
         """Finalize the attached recorder against this run's metrics."""
         self.recorder.finalize(
             self.metrics,
             n=self.csr.n,
             m=self.csr.num_directed_edges // 2,
             palette=self.palette,
-            algorithm=self.recorder.algorithm or algorithm,
+            algorithm=self.recorder.algorithm or algorithm or self.algorithm,
         )
 
     def outcome(self):
@@ -1311,21 +943,32 @@ class BatchInstance:
         return self.error if self.error is not None else self.result
 
     # ------------------------------------------------------------------
-    def _faulty_round(self) -> None:
-        """One faulty round on this instance's *local* clock — the only
-        faulty Linial round; every engine runs fault plans through it.
+    def _over_budget(self, unfinished: np.ndarray) -> bool:
+        """Halt the instance if its round budget is spent: the same
+        :class:`~repro.sim.node.HaltingError` (rounds, unfinished nodes)
+        the reference simulator raises."""
+        if self._rnd < self._budget:
+            return False
+        self.error = HaltingError(
+            rounds=self._rnd,
+            unfinished=[self.csr.nodes[i] for i in np.nonzero(unfinished)[0]],
+        )
+        return True
 
-        Mirrors the reference simulator's delivery semantics edge for
-        edge: transmissions are drawn from active+alive senders, fates
-        come from the plan's vectorized hash (pinned equal to the scalar
-        hash), delayed and duplicated copies sit in a per-round pending
-        buffer whose stale entries are overwritten by fresher same-edge
-        deliveries, deliveries to crashed receivers are discarded, and
-        receivers decode only payloads inside their step's
-        ``q^(deg+1)`` domain.  Nodes advance one schedule step per round
-        they are up, so crash outages leave step *skew* — distinct steps
-        are processed group by group, exactly like the per-node reference
-        receive.  Plan queries use the instance's own round counter and
+    def _deliver(
+        self, alive: np.ndarray, transmit: np.ndarray, payload: np.ndarray
+    ) -> tuple[np.ndarray, dict[str, int]]:
+        """One faulty round's deliveries on the instance's local clock.
+
+        Returns the per-edge value each receiver decodes this round
+        (``-1``: nothing arrived) and the round's fault counts.  Mirrors
+        the reference simulator's delivery semantics edge for edge:
+        ``transmit`` marks the edges carrying ``payload`` this round,
+        fates come from the plan's vectorized hash (pinned equal to the
+        scalar hash), delayed and duplicated copies sit in a per-round
+        pending buffer whose stale entries are overwritten by fresher
+        same-edge deliveries, and deliveries to crashed receivers are
+        discarded.  Plan queries use the instance's own round counter and
         label arrays, so an instance admitted at any global round replays
         exactly the adversary its standalone run would.
         """
@@ -1337,24 +980,11 @@ class BatchInstance:
             FATE_DUPLICATE,
         )
 
-        csr, plan = self.csr, self.plan
-        n = csr.n
-        total = len(self.sched)
-        rnd = self._rnd
-        if rnd >= self._budget:
-            unfinished = [
-                csr.nodes[i] for i in np.nonzero(self._steps < total)[0]
-            ]
-            self.error = HaltingError(rounds=rnd, unfinished=unfinished)
-            return
-        alive = ~plan.crashed_mask(rnd, self._labels)
-        active = self._steps < total
-        transmit = (active & alive)[csr.src]
+        csr, plan, rnd = self.csr, self.plan, self._rnd
         counts = dict.fromkeys(
             ("dropped", "corrupted", "delayed", "duplicated"), 0
         )
-        counts["crashed"] = int(n - alive.sum())
-
+        counts["crashed"] = int(csr.n - alive.sum())
         delivered = np.full(csr.num_directed_edges, -1, dtype=np.int64)
         for edge_idx, values in self._pending.pop(rnd, ()):
             delivered[edge_idx] = values
@@ -1363,7 +993,6 @@ class BatchInstance:
                 rnd, self._src_labels, self._dst_labels
             )
             codes = np.where(transmit, codes, -1)
-            payload = self.colors[csr.src]
             counts["dropped"] = int((codes == FATE_DROP).sum())
             counts["corrupted"] = int((codes == FATE_CORRUPT).sum())
             counts["delayed"] = int((codes == FATE_DELAY).sum())
@@ -1386,6 +1015,27 @@ class BatchInstance:
                     payload[corrupt],
                 )
         delivered[~alive[csr.indices]] = -1
+        return delivered, counts
+
+    def _faulty_round(self) -> None:
+        """One faulty round on this instance's *local* clock — the only
+        faulty Linial round; every engine runs fault plans through it.
+
+        Transmissions come from active+alive senders (:meth:`_deliver`
+        applies the plan), and receivers decode only payloads inside
+        their step's ``q^(deg+1)`` domain.  Nodes advance one schedule
+        step per round they are up, so crash outages leave step *skew* —
+        distinct steps are processed group by group, exactly like the
+        per-node reference receive.
+        """
+        csr = self.csr
+        n = csr.n
+        active = self._steps < len(self.sched)
+        if self._over_budget(active):
+            return
+        alive = ~self.plan.crashed_mask(self._rnd, self._labels)
+        transmit = (active & alive)[csr.src]
+        delivered, counts = self._deliver(alive, transmit, self.colors[csr.src])
 
         receiving = active & alive
         new_colors = self.colors.copy()
@@ -1420,6 +1070,248 @@ class BatchInstance:
             self.bits,
             active=int(active.sum()),
             faults=counts,
+        )
+        self._rnd += 1
+
+
+class Fk24Instance(BatchInstance):
+    """One [FK24] list-defective instance inside a round-stepped run.
+
+    The state of :func:`repro.algorithms.fk24.run_fk24` as arrays: per
+    node a status (trying / announcing / done), adopted color and
+    adoption round, the ragged color lists, and a ``(n, space)`` count of
+    known takers per color; under a plan also the last ``took`` color
+    decoded on each directed edge.  Its rounds run on its own CSR and
+    its own round clock (so ``adopted`` is the instance's round, whatever
+    global round the stepper is on): :meth:`_plain_round` is the only
+    fault-free FK24 round and :meth:`_faulty_round` the only faulty one.
+    The lifecycle is :class:`BatchInstance`'s; the stepper never packs
+    an FK24 instance, it :meth:`advance`\\ s it alone.
+
+    Build instances with :func:`make_fk24_instance`.
+    """
+
+    algorithm = "fk24_vectorized"
+
+    def __init__(
+        self,
+        graph: Any,
+        csr: CSRGraph,
+        lists: Mapping[Any, tuple[int, ...]],
+        *,
+        space: int,
+        defect: int,
+        plan=None,
+        recorder: "RunRecorder | None" = None,
+    ) -> None:
+        from ..algorithms.fk24 import fk24_round_budget
+
+        n = csr.n
+        self._setup(
+            csr,
+            np.full(n, -1, dtype=np.int64),
+            space,
+            int_bits(max(1, 2 * space - 1)),
+            plan,
+            recorder,
+            fk24_round_budget(lists.values(), n),
+        )
+        #: The graph the adoption orientation is built over.
+        self.graph = graph
+        self.list_indptr, self.list_values = ragged_lists(csr, lists)
+        self.owner = np.repeat(
+            np.arange(n, dtype=np.int64), np.diff(self.list_indptr)
+        )
+        self.defect_arr = np.full(n, defect, dtype=np.int64)
+        self.status = np.zeros(n, dtype=np.int64)  # 0 trying, 1 announcing, 2 done
+        self.adopted = np.full(n, -1, dtype=np.int64)
+        self.counts = np.zeros((n, max(1, space)), dtype=np.int64)
+        if plan is not None:
+            self._know = np.full(csr.num_directed_edges, -1, dtype=np.int64)
+
+    @property
+    def complete(self) -> bool:
+        """True once every node is done, or the instance halted."""
+        return self.error is not None or not bool((self.status < 2).any())
+
+    def pack_key(self) -> None:
+        """FK24 rounds are never packed (see :func:`fk24_vectorized_batch`)."""
+        return None
+
+    def advance(self) -> None:
+        """Run this instance's next round (fault-free or faulty)."""
+        if self.plan is None:
+            self._plain_round()
+        else:
+            self._faulty_round()
+
+    def adoption(self) -> dict[Any, int]:
+        """Each node's adoption round (``-1``: never adopted)."""
+        return self.csr.scatter(self.adopted)
+
+    def _coloring(self) -> ColoringResult:
+        return ColoringResult(
+            self.csr.scatter(self.colors),
+            orientation_from_priority(self.graph, self.adoption()),
+        )
+
+    # ------------------------------------------------------------------
+    def _candidates(self, trying: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """First viable list color per trying node: ``(has_cand, cand_color)``.
+
+        Position ``p`` (owned by node ``owner[p]``, carrying color
+        ``list_values[p]``) is viable when at most ``defect`` known
+        neighbors hold that color.  The candidate is the first viable
+        position in the node's original list order — exactly the
+        reference's ``for x in L_v`` scan, using the counts as of the end
+        of the previous round (the reference picks in ``send``).
+        """
+        n = self.csr.n
+        indptr, values, owner = self.list_indptr, self.list_values, self.owner
+        total = values.shape[0]
+        if total:
+            viable = self.counts[owner, values] <= self.defect_arr[owner]
+            masked = np.where(viable, np.arange(total, dtype=np.int64), _NO_PICK)
+            # reduceat quirks: clip trailing starts into range and
+            # overwrite empty segments (their reduceat slot holds a
+            # neighbor segment's element) with the no-candidate sentinel
+            starts = np.minimum(indptr[:-1], total - 1)
+            first = np.minimum.reduceat(masked, starts)
+            first[np.diff(indptr) == 0] = _NO_PICK
+        else:
+            first = np.full(n, _NO_PICK, dtype=np.int64)
+        has_cand = trying & (first < _NO_PICK)
+        cand_color = np.zeros(n, dtype=np.int64)
+        cand_color[has_cand] = values[first[has_cand]]
+        return has_cand, cand_color
+
+    def _adopt(
+        self,
+        cand: np.ndarray,
+        cand_color: np.ndarray,
+        load: np.ndarray,
+        halting: np.ndarray,
+    ) -> None:
+        """Close a round: ``halting`` announcers are done, and every
+        candidate whose load (known takers plus stronger same-round
+        triers of its color) fits the defect budget adopts it."""
+        adopt = cand & (load <= self.defect_arr)
+        self.status[halting] = 2
+        self.status[adopt] = 1
+        self.colors[adopt] = cand_color[adopt]
+        self.adopted[adopt] = self._rnd
+
+    def _plain_round(self) -> None:
+        """The fault-free FK24 round.
+
+        Knowledge is the ``(n, space)`` counts matrix updated
+        incrementally — valid because fault-free every adopter announces
+        its color exactly once with guaranteed delivery, so per-sender
+        knowledge equals the delivered-announcement multiset.  Adoption
+        re-checks against counts updated with this round's announcements
+        plus same-round smaller-label rivals trying the same color (dense
+        index order equals sorted label order, so the index comparison is
+        the reference's ``u < view.id``).
+        """
+        csr, status, counts = self.csr, self.status, self.counts
+        active = status < 2
+        if self._over_budget(active):
+            return
+        trying = status == 0
+        announcing = status == 1
+        has_cand, cand_color = self._candidates(trying)
+        sending = has_cand | announcing
+        msgs = int(csr.degrees[sending].sum())
+        # this round's announcements update everyone's knowledge first
+        took_edge = announcing[csr.src]
+        if took_edge.any():
+            np.add.at(
+                counts,
+                (csr.indices[took_edge], self.colors[csr.src[took_edge]]),
+                1,
+            )
+        taken = np.zeros(csr.n, dtype=np.int64)
+        cand = np.nonzero(has_cand)[0]
+        taken[cand] = counts[cand, cand_color[cand]]
+        conflict = (
+            has_cand[csr.src]
+            & has_cand[csr.indices]
+            & (csr.src < csr.indices)
+            & (cand_color[csr.src] == cand_color[csr.indices])
+        )
+        stronger = np.bincount(csr.indices[conflict], minlength=csr.n)
+        self._adopt(has_cand, cand_color, taken + stronger, announcing)
+        record_uniform_round(
+            self.metrics,
+            self.recorder,
+            msgs,
+            self.bits,
+            active=int(active.sum()),
+        )
+        self._rnd += 1
+
+    def _faulty_round(self) -> None:
+        """The faulty FK24 round (deliveries through :meth:`_deliver`).
+
+        Knowledge is per directed edge (``_know[e]`` = last decoded
+        ``took`` color on ``e``) because under corruption a sender's
+        announcement can differ per round — the counts matrix is adjusted
+        incrementally as entries change.  Payloads encode ``tag * space +
+        color``; decoders discard anything outside ``[0, 2 * space)``
+        exactly like the reference's inbox filter.
+        """
+        csr, status, counts, space = self.csr, self.status, self.counts, self.palette
+        active = status < 2
+        if self._over_budget(active):
+            return
+        alive = ~self.plan.crashed_mask(self._rnd, self._labels)
+        trying = status == 0
+        announcing = status == 1
+        has_cand, cand_color = self._candidates(trying)
+        transmit = ((has_cand | announcing) & alive)[csr.src]
+        payload = np.where(
+            announcing[csr.src],
+            space + self.colors[csr.src],
+            cand_color[csr.src],
+        )
+        delivered, fcounts = self._deliver(alive, transmit, payload)
+
+        # decode: knowledge updates for this round's took deliveries, with
+        # the counts matrix adjusted where an edge's knowledge changed
+        tk = np.nonzero((delivered >= space) & (delivered < 2 * space))[0]
+        if tk.size:
+            newv = delivered[tk] - space
+            oldv = self._know[tk]
+            chg = oldv != newv
+            tk, newv, oldv = tk[chg], newv[chg], oldv[chg]
+            dec = oldv >= 0
+            if dec.any():
+                np.add.at(counts, (csr.indices[tk[dec]], oldv[dec]), -1)
+            if tk.size:
+                np.add.at(counts, (csr.indices[tk], newv), 1)
+                self._know[tk] = newv
+        is_try = (delivered >= 0) & (delivered < space)
+        receiver_cand = has_cand & alive
+        taken = np.zeros(csr.n, dtype=np.int64)
+        cand = np.nonzero(receiver_cand)[0]
+        taken[cand] = counts[cand, cand_color[cand]]
+        conflict = (
+            is_try
+            & receiver_cand[csr.indices]
+            & (csr.src < csr.indices)
+            & (delivered == cand_color[csr.indices])
+        )
+        stronger = np.bincount(csr.indices[conflict], minlength=csr.n)
+        self._adopt(
+            receiver_cand, cand_color, taken + stronger, announcing & alive
+        )
+        record_uniform_round(
+            self.metrics,
+            self.recorder,
+            int(transmit.sum()),
+            self.bits,
+            active=int(active.sum()),
+            faults=fcounts,
         )
         self._rnd += 1
 
@@ -1480,14 +1372,51 @@ def make_batch_instance(
     )
 
 
+def make_fk24_instance(
+    graph: Any,
+    *,
+    csr: CSRGraph | None = None,
+    lists: Mapping[Any, Any] | None = None,
+    space_size: int | None = None,
+    defect: int = 1,
+    faults=None,
+    recorder: "RunRecorder | None" = None,
+) -> Fk24Instance:
+    """Freeze one [FK24] request into a steppable :class:`Fk24Instance`.
+
+    Inputs resolve through :func:`repro.algorithms.fk24.fk24_inputs`,
+    exactly as :func:`~repro.algorithms.fk24.run_fk24` resolves them
+    (default lists and space, and the same ``ValueError`` for a list
+    color outside the space or a negative defect), so stepping the
+    instance to completion reproduces the reference triple bit for bit.
+    ``csr`` lets a caller that already froze ``graph`` skip the second
+    freeze.
+    """
+    from ..algorithms.fk24 import fk24_inputs
+
+    if csr is None:
+        csr = CSRGraph.from_networkx(graph)
+    lists, space = fk24_inputs(graph, lists, space_size, int(defect))
+    return Fk24Instance(
+        graph,
+        csr,
+        lists,
+        space=space,
+        defect=int(defect),
+        plan=faults,
+        recorder=recorder,
+    )
+
+
 class StepReport:
     """What one :meth:`LinialBatchStepper.step` round did.
 
     ``finished`` is the round's newly sealed instances (completed *or*
     halted — check :attr:`BatchInstance.error`), already evicted from the
     stepper's live set; ``live`` counts the instances that participated,
-    ``groups`` the distinct ``(q, deg)`` kernel groups the plain cohort
-    packed into, and ``round_index`` the stepper's global round clock.
+    ``groups`` the distinct ``(q, deg)`` kernel groups the plain Linial
+    cohort packed into plus one per instance that ran its own round, and
+    ``round_index`` the stepper's global round clock.
     """
 
     __slots__ = ("round_index", "live", "groups", "finished")
@@ -1506,7 +1435,7 @@ class StepReport:
 
 
 class LinialBatchStepper:
-    """Round-stepped block-diagonal execution with mid-run repacking.
+    """Round-stepped execution with mid-run repacking.
 
     The continuous-batching substrate :mod:`repro.serve` schedules on:
     the caller owns the round loop — :meth:`admit` new instances between
@@ -1515,21 +1444,22 @@ class LinialBatchStepper:
     slots are free immediately; per-instance termination masks are
     literal here, a finished instance simply leaves the membership).
 
-    It is the only Linial execution core: :func:`linial_vectorized_batch`
-    drains one, and :func:`~repro.sim.vectorized.linial_vectorized` is a
-    batch of one.  Each round, live fault-free instances are grouped by
-    their current schedule step's ``(q, deg)`` and each group runs
-    :func:`~repro.sim.engine.linial_round` in cache-sized tiles
-    (:data:`_TILE_NODES`); a multi-instance tile's packed
-    :class:`BatchCSRGraph` is reused from the previous round while the
-    tile's membership is unchanged (only the current round's tiles are
-    kept, so memory stays bounded under continuous admission).  Faulty
-    instances run their own local-clock round via
-    :meth:`BatchInstance._faulty_round`.  Because no kernel ever reads
-    across an instance boundary, every instance's final triple is
-    bit-identical to its single-instance
-    :func:`~repro.sim.vectorized.linial_vectorized` run regardless of
-    when it was admitted or which siblings shared its rounds — the
+    It is the only Linial and FK24 execution core:
+    :func:`linial_vectorized_batch` and :func:`fk24_vectorized_batch`
+    drain one, and their single-instance twins in
+    :mod:`repro.sim.vectorized` are batches of one.  Each round, live
+    fault-free Linial instances are grouped by their current schedule
+    step's ``(q, deg)`` (:meth:`BatchInstance.pack_key`) and each group
+    runs :func:`~repro.sim.engine.linial_round` block-diagonally in
+    cache-sized tiles (:data:`_TILE_NODES`); a multi-instance tile's
+    packed :class:`BatchCSRGraph` is reused from the previous round while
+    the tile's membership is unchanged (only the current round's tiles
+    are kept, so memory stays bounded under continuous admission).  Every
+    other instance — faulty Linial and every :class:`Fk24Instance` — runs
+    its own local-clock round via :meth:`BatchInstance.advance`.  Because
+    no kernel ever reads across an instance boundary, every instance's
+    final triple is bit-identical to its single-instance run regardless
+    of when it was admitted or which siblings shared its rounds — the
     property ``tests/test_serve.py`` pins and ``benchmarks/bench_serve.py``
     re-asserts end to end against the offline batched engine.
     """
@@ -1617,13 +1547,16 @@ class LinialBatchStepper:
         finished: list[BatchInstance] = self._sealed_at_admit
         self._sealed_at_admit = []
         live = list(self._live)
-        plain = [i for i in live if i.plan is None]
-        faulty = [i for i in live if i.plan is not None]
-
+        plain: list[BatchInstance] = []
+        solo: list[BatchInstance] = []
         groups: dict[tuple[int, int], list[BatchInstance]] = {}
-        for inst in plain:
-            step = inst.current_step()
-            groups.setdefault((step.q, step.deg), []).append(inst)
+        for inst in live:
+            key = inst.pack_key()
+            if key is None:
+                solo.append(inst)
+            else:
+                plain.append(inst)
+                groups.setdefault(key, []).append(inst)
         tiles: dict[tuple[int, ...], BatchCSRGraph] = {}
         for (q, deg), members in sorted(groups.items()):
             node_counts = [m.csr.n for m in members]
@@ -1654,8 +1587,8 @@ class LinialBatchStepper:
             )
             inst.step += 1
 
-        for inst in faulty:
-            inst._faulty_round()
+        for inst in solo:
+            inst.advance()
 
         still_live: list[BatchInstance] = []
         for inst in live:
@@ -1670,16 +1603,16 @@ class LinialBatchStepper:
         return StepReport(
             round_index=self._round - 1,
             live=len(live),
-            groups=len(groups) + len(faulty),
+            groups=len(groups) + len(solo),
             finished=tuple(finished),
         )
 
     def run_to_completion(self) -> list[BatchInstance]:
         """Step until the membership drains (static batch-and-drain mode).
 
-        The offline counterpart of a serving loop: how
-        :func:`linial_vectorized_batch` and
-        :func:`~repro.sim.vectorized.linial_vectorized` run their rounds.
+        The offline counterpart of a serving loop: how the Linial and
+        FK24 drivers in this module and :mod:`repro.sim.vectorized` run
+        their rounds.
         """
         done: list[BatchInstance] = []
         while self._live or self._sealed_at_admit:

@@ -18,7 +18,15 @@ equivalent fast paths, all built on the shared CSR execution layer in
   list instances, with O(deg) array work per node;
 * :func:`defective_split_vectorized` — the defective-split decomposition
   step of :func:`repro.algorithms.defective.defective_class_partition`,
-  with vectorized defect validation.
+  with vectorized defect validation;
+* :func:`fk24_vectorized` — the [FK24] simple iterative list-defective
+  coloring of :func:`repro.algorithms.fk24.run_fk24`, with the same
+  adoption rounds (hence the same arbdefective orientation) and, under a
+  :class:`~repro.faults.FaultPlan`, the same faulty rounds and halts.
+
+``linial_vectorized`` and ``fk24_vectorized`` are batches of one on
+:class:`~repro.sim.batch.LinialBatchStepper`, the execution core their
+batched twins in :mod:`repro.sim.batch` drain too.
 
 All fast paths synthesize metrics identical to the reference run's
 (per round, every node messages every neighbor one current color).
@@ -38,7 +46,7 @@ import numpy as np
 import networkx as nx
 
 from ..core.coloring import ColoringResult
-from .batch import LinialBatchStepper, make_batch_instance
+from .batch import _drain, make_batch_instance, make_fk24_instance
 from .engine import (
     CSRGraph,
     equal_neighbor_counts,
@@ -46,9 +54,7 @@ from .engine import (
     record_uniform_round,
     synthesized_metrics,
 )
-from .message import int_bits
 from .metrics import RunMetrics
-from .node import HaltingError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> sim)
     from ..obs import RunRecorder
@@ -98,17 +104,17 @@ def linial_vectorized(
             faults=faults,
             recorder=recorder,
         )
-    inst.flush_recorder = False
-    with _phase(recorder, "rounds"):
-        LinialBatchStepper([inst]).run_to_completion()
-    # flushed after the rounds phase closes, so the record's timings
-    # include it; a halted run flushes its partial record before raising
-    # — the same post-mortem contract as SyncNetwork.run's halt path
-    if recorder is not None and (inst.error is not None or _finalize_recorder):
-        inst.flush_record()
-    if inst.error is not None:
-        raise inst.error
-    return inst.result
+    return _run_alone(inst, _finalize_recorder)
+
+
+def _run_alone(inst, finalize_recorder: bool = True):
+    """Step one instance to completion (see :func:`~repro.sim.batch._drain`
+    for the record-flush contract) and return its triple, or raise its
+    halt."""
+    (outcome,) = _drain([inst], [inst.recorder], finalize_recorder)
+    if isinstance(outcome, BaseException):
+        raise outcome
+    return outcome
 
 
 def schedule_reduction_vectorized(
@@ -316,45 +322,6 @@ def classic_delta_plus_one_vectorized(
 # ----------------------------------------------------------------------
 # FK24 simple iterative list-defective coloring
 # ----------------------------------------------------------------------
-#: Sentinel larger than any within-ragged-array position (first-viable scan).
-_NO_CAND = np.int64(1) << np.int64(60)
-
-
-def _fk24_candidates(
-    counts: np.ndarray,
-    owner: np.ndarray,
-    list_indptr: np.ndarray,
-    list_values: np.ndarray,
-    defect_arr: np.ndarray,
-    trying: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """First viable list color per trying node: ``(has_cand, cand_color)``.
-
-    Position ``p`` (owned by node ``owner[p]``, carrying color
-    ``list_values[p]``) is viable when at most ``defect`` known neighbors
-    hold that color (``counts`` is the per-(node, color) knowledge
-    matrix).  The candidate is the first viable position in the node's
-    original list order — exactly the reference's ``for x in L_v`` scan.
-    """
-    n = list_indptr.shape[0] - 1
-    total = list_values.shape[0]
-    if total:
-        viable = counts[owner, list_values] <= defect_arr[owner]
-        masked = np.where(viable, np.arange(total, dtype=np.int64), _NO_CAND)
-        # reduceat quirks: clip trailing starts into range and overwrite
-        # empty segments (their reduceat slot holds a neighbor segment's
-        # element) with the no-candidate sentinel
-        starts = np.minimum(list_indptr[:-1], total - 1)
-        first = np.minimum.reduceat(masked, starts)
-        first[np.diff(list_indptr) == 0] = _NO_CAND
-    else:
-        first = np.full(n, _NO_CAND, dtype=np.int64)
-    has_cand = trying & (first < _NO_CAND)
-    cand_color = np.zeros(n, dtype=np.int64)
-    cand_color[has_cand] = list_values[first[has_cand]]
-    return has_cand, cand_color
-
-
 def fk24_vectorized(
     graph: nx.Graph,
     lists=None,
@@ -362,8 +329,6 @@ def fk24_vectorized(
     defect: int = 1,
     recorder: "RunRecorder | None" = None,
     faults=None,
-    _finalize_recorder: bool = True,
-    _csr: CSRGraph | None = None,
     adoption_out: dict | None = None,
 ) -> tuple[ColoringResult, RunMetrics, int]:
     """Vectorized twin of :func:`repro.algorithms.fk24.run_fk24`.
@@ -373,297 +338,29 @@ def fk24_vectorized(
     adopters to earlier ones, making the output a list arbdefective
     coloring — with per-round obs rows (message counts vary round to
     round as nodes adopt and halt, unlike the schedule-driven kernels).
-    ``faults`` switches to the mask-based faulty kernel, bit-for-bit
+    ``faults`` switches to the mask-based faulty round, bit-for-bit
     equivalent to ``run_fk24(..., faults=plan)`` including the fault
     column family and the (stretched) round budget, so a plan that
     livelocks the algorithm halts both engines with the identical
     :class:`~repro.sim.node.HaltingError`.  ``adoption_out``, if given,
     is filled with each node's adoption round.
-    """
-    from ..algorithms.fk24 import fk24_lists, fk24_round_budget
-    from ..core.coloring import orientation_from_priority
 
+    The run is a batch of one: a :func:`~repro.sim.batch.make_fk24_instance`
+    stepped to completion by :class:`~repro.sim.batch.LinialBatchStepper`.
+    """
     with _phase(recorder, "csr_build"):
-        csr = _csr if _csr is not None else CSRGraph.from_networkx(graph)
-    n = csr.n
+        csr = CSRGraph.from_networkx(graph)
     with _phase(recorder, "schedule"):
-        if lists is None:
-            lists, built_space = fk24_lists(graph, defect)
-            if space_size is None:
-                space_size = built_space
-        lists = {v: tuple(lists[v]) for v in csr.nodes}
-        if space_size is None:
-            space_size = (
-                max((max(lst) for lst in lists.values() if lst), default=0) + 1
-            )
-        space = int(space_size)
-        list_indptr, list_values = ragged_lists(csr, lists)
-        budget = fk24_round_budget(lists.values(), n)
-    max_rounds = budget if faults is None else faults.round_budget(budget)
-    bits = int_bits(max(1, 2 * space - 1))
-    metrics = synthesized_metrics(n)
-
-    try:
-        with _phase(recorder, "rounds"):
-            if faults is not None:
-                colors, adopted = _fk24_faulty_rounds(
-                    csr, list_indptr, list_values, space, int(defect),
-                    bits, max_rounds, faults, metrics, recorder,
-                )
-            else:
-                colors, adopted = _fk24_rounds(
-                    csr, list_indptr, list_values, space, int(defect),
-                    bits, max_rounds, metrics, recorder,
-                )
-    except HaltingError:
-        # flush the partial per-round record before propagating — the
-        # same post-mortem contract as SyncNetwork.run's halt path
-        if recorder is not None:
-            recorder.finalize(
-                metrics,
-                n=n,
-                m=csr.num_directed_edges // 2,
-                palette=space,
-                algorithm=recorder.algorithm or "fk24_vectorized",
-            )
-        raise
-
-    adoption = csr.scatter(adopted)
+        inst = make_fk24_instance(
+            graph,
+            csr=csr,
+            lists=lists,
+            space_size=space_size,
+            defect=defect,
+            faults=faults,
+            recorder=recorder,
+        )
+    result = _run_alone(inst)
     if adoption_out is not None:
-        adoption_out.update(adoption)
-    result = ColoringResult(
-        csr.scatter(colors), orientation_from_priority(graph, adoption)
-    )
-    if recorder is not None and _finalize_recorder:
-        recorder.finalize(
-            metrics,
-            n=n,
-            m=csr.num_directed_edges // 2,
-            palette=space,
-            algorithm=recorder.algorithm or "fk24_vectorized",
-        )
-    return result, metrics, space
-
-
-def _fk24_rounds(
-    csr: CSRGraph,
-    list_indptr: np.ndarray,
-    list_values: np.ndarray,
-    space: int,
-    defect: int,
-    bits: int,
-    max_rounds: int,
-    metrics: RunMetrics,
-    recorder: "RunRecorder | None",
-) -> tuple[np.ndarray, np.ndarray]:
-    """The fault-free FK24 round loop (see :func:`fk24_vectorized`).
-
-    Per-node knowledge is a ``(n, space)`` counts matrix updated
-    incrementally — valid because fault-free every adopter announces its
-    color exactly once with guaranteed delivery, so per-sender knowledge
-    equals the delivered-announcement multiset.  Candidate selection uses
-    the counts as of the *end of the previous round* (the reference picks
-    in ``send``); adoption re-checks against counts updated with this
-    round's announcements plus same-round smaller-label rivals trying the
-    same color (dense index order equals sorted label order, so the index
-    comparison is the reference's ``u < view.id``).
-    """
-    n = csr.n
-    status = np.zeros(n, dtype=np.int64)  # 0 trying, 1 announcing, 2 done
-    colors = np.full(n, -1, dtype=np.int64)
-    adopted = np.full(n, -1, dtype=np.int64)
-    counts = np.zeros((n, max(1, space)), dtype=np.int64)
-    owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(list_indptr))
-    defect_arr = np.full(n, defect, dtype=np.int64)
-    idx = np.arange(n, dtype=np.int64)
-
-    rnd = 0
-    while bool((status < 2).any()):
-        if rnd >= max_rounds:
-            unfinished = [csr.nodes[i] for i in np.nonzero(status < 2)[0]]
-            raise HaltingError(rounds=rnd, unfinished=unfinished)
-        trying = status == 0
-        announcing = status == 1
-        active_n = int((status < 2).sum())
-        has_cand, cand_color = _fk24_candidates(
-            counts, owner, list_indptr, list_values, defect_arr, trying
-        )
-        sending = has_cand | announcing
-        msgs = int(csr.degrees[sending].sum())
-        # this round's announcements update everyone's knowledge first
-        took_edge = announcing[csr.src]
-        if took_edge.any():
-            np.add.at(
-                counts,
-                (csr.indices[took_edge], colors[csr.src[took_edge]]),
-                1,
-            )
-        taken = np.zeros(n, dtype=np.int64)
-        taken[has_cand] = counts[idx[has_cand], cand_color[has_cand]]
-        conflict = (
-            has_cand[csr.src]
-            & has_cand[csr.indices]
-            & (csr.src < csr.indices)
-            & (cand_color[csr.src] == cand_color[csr.indices])
-        )
-        stronger = np.bincount(csr.indices[conflict], minlength=n)
-        adopt = has_cand & (taken + stronger <= defect_arr)
-        status[announcing] = 2
-        status[adopt] = 1
-        colors[adopt] = cand_color[adopt]
-        adopted[adopt] = rnd
-        record_uniform_round(metrics, recorder, msgs, bits, active=active_n)
-        rnd += 1
-    return colors, adopted
-
-
-def _fk24_faulty_rounds(
-    csr: CSRGraph,
-    list_indptr: np.ndarray,
-    list_values: np.ndarray,
-    space: int,
-    defect: int,
-    bits: int,
-    max_rounds: int,
-    faults,
-    metrics: RunMetrics,
-    recorder: "RunRecorder | None",
-) -> tuple[np.ndarray, np.ndarray]:
-    """The mask-based faulty FK24 round loop (see :func:`fk24_vectorized`).
-
-    Mirrors the reference simulator's delivery semantics edge for edge
-    (same machinery as :meth:`repro.sim.batch.BatchInstance._faulty_round`):
-    transmissions come
-    from active+alive senders, fates from the plan's vectorized hash,
-    delayed/duplicated copies sit in a pending buffer overwritten by
-    fresher same-edge deliveries, and deliveries to crashed receivers are
-    discarded.  Knowledge is per directed edge (``know[e]`` = last
-    decoded ``took`` color on ``e``) because under corruption a sender's
-    announcement can differ per round — the counts matrix is adjusted
-    incrementally as entries change.  Payloads encode ``tag * space +
-    color``; decoders discard anything outside ``[0, 2 * space)`` exactly
-    like the reference's inbox filter.
-    """
-    from ..faults.plan import (
-        FATE_CORRUPT,
-        FATE_DELAY,
-        FATE_DELIVER,
-        FATE_DROP,
-        FATE_DUPLICATE,
-        node_labels_u64,
-    )
-
-    n = csr.n
-    num_edges = csr.num_directed_edges
-    labels = node_labels_u64(csr.nodes)
-    src_labels = labels[csr.src]
-    dst_labels = labels[csr.indices]
-    status = np.zeros(n, dtype=np.int64)
-    colors = np.full(n, -1, dtype=np.int64)
-    adopted = np.full(n, -1, dtype=np.int64)
-    counts2d = np.zeros((n, max(1, space)), dtype=np.int64)
-    know = np.full(num_edges, -1, dtype=np.int64)
-    owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(list_indptr))
-    defect_arr = np.full(n, defect, dtype=np.int64)
-    idx = np.arange(n, dtype=np.int64)
-    pending: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-
-    rnd = 0
-    while bool((status < 2).any()):
-        if rnd >= max_rounds:
-            unfinished = [csr.nodes[i] for i in np.nonzero(status < 2)[0]]
-            raise HaltingError(rounds=rnd, unfinished=unfinished)
-        alive = ~faults.crashed_mask(rnd, labels)
-        trying = status == 0
-        announcing = status == 1
-        active = status < 2
-        has_cand, cand_color = _fk24_candidates(
-            counts2d, owner, list_indptr, list_values, defect_arr, trying
-        )
-        sending = (has_cand | announcing) & alive
-        transmit = sending[csr.src]
-        fcounts = dict.fromkeys(
-            ("dropped", "corrupted", "delayed", "duplicated"), 0
-        )
-        fcounts["crashed"] = int(n - alive.sum())
-
-        delivered = np.full(num_edges, -1, dtype=np.int64)
-        for edge_idx, values in pending.pop(rnd, ()):
-            delivered[edge_idx] = values
-        if transmit.any():
-            codes, delays = faults.edge_fates(rnd, src_labels, dst_labels)
-            codes = np.where(transmit, codes, -1)
-            payload = np.where(
-                announcing[csr.src],
-                space + colors[csr.src],
-                cand_color[csr.src],
-            )
-            fcounts["dropped"] = int((codes == FATE_DROP).sum())
-            fcounts["corrupted"] = int((codes == FATE_CORRUPT).sum())
-            fcounts["delayed"] = int((codes == FATE_DELAY).sum())
-            fcounts["duplicated"] = int((codes == FATE_DUPLICATE).sum())
-            for code in (FATE_DELAY, FATE_DUPLICATE):
-                eidx = np.nonzero(codes == code)[0]
-                for d in np.unique(delays[eidx]):
-                    sel = eidx[delays[eidx] == d]
-                    pending.setdefault(rnd + int(d), []).append(
-                        (sel, payload[sel].copy())
-                    )
-            now = (codes == FATE_DELIVER) | (codes == FATE_DUPLICATE)
-            delivered[now] = payload[now]
-            corrupt = codes == FATE_CORRUPT
-            if corrupt.any():
-                delivered[corrupt] = faults.corrupt_values(
-                    rnd,
-                    src_labels[corrupt],
-                    dst_labels[corrupt],
-                    payload[corrupt],
-                )
-        # deliveries (stale included) to crashed receivers are discarded
-        delivered[~alive[csr.indices]] = -1
-
-        # decode: know updates for this round's took deliveries, with the
-        # counts matrix adjusted where an edge's knowledge changed
-        took = (delivered >= space) & (delivered < 2 * space)
-        tk = np.nonzero(took)[0]
-        if tk.size:
-            newv = delivered[tk] - space
-            oldv = know[tk]
-            chg = oldv != newv
-            tk, newv, oldv = tk[chg], newv[chg], oldv[chg]
-            dec = oldv >= 0
-            if dec.any():
-                np.add.at(
-                    counts2d, (csr.indices[tk[dec]], oldv[dec]), -1
-                )
-            if tk.size:
-                np.add.at(counts2d, (csr.indices[tk], newv), 1)
-                know[tk] = newv
-        is_try = (delivered >= 0) & (delivered < space)
-        taken = np.zeros(n, dtype=np.int64)
-        receiver_cand = has_cand & alive
-        taken[receiver_cand] = counts2d[
-            idx[receiver_cand], cand_color[receiver_cand]
-        ]
-        conflict = (
-            is_try
-            & receiver_cand[csr.indices]
-            & (csr.src < csr.indices)
-            & (delivered == cand_color[csr.indices])
-        )
-        stronger = np.bincount(csr.indices[conflict], minlength=n)
-        adopt = receiver_cand & (taken + stronger <= defect_arr)
-        status[announcing & alive] = 2
-        status[adopt] = 1
-        colors[adopt] = cand_color[adopt]
-        adopted[adopt] = rnd
-        record_uniform_round(
-            metrics,
-            recorder,
-            int(transmit.sum()),
-            bits,
-            active=int(active.sum()),
-            faults=fcounts,
-        )
-        rnd += 1
-    return colors, adopted
+        adoption_out.update(inst.adoption())
+    return result

@@ -31,7 +31,6 @@ from repro.experiments.sweep import (
     SweepCell,
     cell_key,
     corrupt_cache_files,
-    load_cached,
     load_cached_detailed,
     store_cached,
 )
@@ -264,7 +263,7 @@ class TestStaleTmpSweepOnLoad:
         cell = SweepCell.make("ring", {"n": 6}, "linial_vectorized", {})
         run_sweep([cell], cache_dir=tmp_path, workers=1)
         assert not stale.exists()
-        assert load_cached(tmp_path, cell) is not None
+        assert load_cached_detailed(tmp_path, cell)[1] == "hit"
 
     def test_load_corpus_reclaims_stale_staging(self, tmp_path):
         import os
@@ -311,4 +310,4 @@ class TestSweepCacheCrashSafety:
             path.with_name(path.name + ".corrupt")
         ]
         # the slot now reads as a miss, so the cell recomputes fresh
-        assert load_cached(tmp_path, cell) is None
+        assert load_cached_detailed(tmp_path, cell) == (None, "miss")

@@ -36,7 +36,6 @@ from repro.experiments.sweep import (
     cell_key,
     corrupt_cache_files,
     failed_record,
-    load_cached,
     load_cached_detailed,
     run_sweep,
     run_sweep_summarized,
@@ -399,7 +398,7 @@ class TestSweepFaultTolerance:
         cache_file.write_text("{ truncated nonsense")
         summary = run_sweep_summarized([cell], cache_dir=tmp_path, workers=1)
         assert summary.corrupt == 1 and summary.computed == 1
-        assert load_cached(tmp_path, cell) is not None
+        assert load_cached_detailed(tmp_path, cell)[1] == "hit"
 
     def test_stale_schema_is_recomputed_and_counted(self, tmp_path):
         cell = SweepCell.make("path", {"n": 8}, "linial_vectorized")

@@ -357,3 +357,48 @@ def test_faulty_batch_matches_per_instance_runs():
             assert metrics.summary() == single["summary"]
         equal, report = _accounting_equal(single["record"], rec.record)
         assert equal, report
+
+
+# ----------------------------------------------------------------------
+# input validation: every engine rejects the same instances
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "lists, space, defect, message",
+    [
+        # list colors past the space used to split the engines: the
+        # reference colored the graph while the array engines raised
+        # IndexError
+        (
+            {0: (0, 5), 1: (1, 5), 2: (0, 5), 3: (1, 5)},
+            3,
+            0,
+            r"node 0: list color 5 outside the color space \[0, 3\)",
+        ),
+        # a negative color was adopted, its "took" payload space - 1
+        # decoding as a "try"
+        (
+            {0: (-1, 1), 1: (1, 2), 2: (0, 2), 3: (1, 2)},
+            3,
+            0,
+            r"node 0: list color -1 outside the color space \[0, 3\)",
+        ),
+        ({0: (0,), 1: (1,), 2: (0,), 3: (1,)}, 2, -1, r"defect must be >= 0, got -1"),
+    ],
+)
+def test_engines_reject_invalid_inputs_identically(lists, space, defect, message):
+    g = path(4)
+    calls = {
+        "reference": lambda: run_fk24(g, lists=lists, space_size=space, defect=defect),
+        "vectorized": lambda: fk24_vectorized(
+            g, lists=lists, space_size=space, defect=defect
+        ),
+        "batched": lambda: fk24_vectorized_batch(
+            [g], lists=[lists], space_size=space, defect=defect
+        ),
+    }
+    errors = {}
+    for engine, call in calls.items():
+        with pytest.raises(ValueError, match=message) as exc:
+            call()
+        errors[engine] = str(exc.value)
+    assert len(set(errors.values())) == 1, errors

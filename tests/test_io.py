@@ -15,9 +15,9 @@ from repro.io import (
     coloring_to_dict,
     instance_from_dict,
     instance_to_dict,
-    load_instance,
+    load_json,
     load_run,
-    save_instance,
+    save_json,
     save_run,
 )
 
@@ -55,8 +55,8 @@ class TestInstanceRoundTrip:
     def test_file_round_trip(self, tmp_path):
         inst = degree_plus_one_instance(gnp(15, 0.3, seed=3))
         path = tmp_path / "inst.json"
-        save_instance(inst, path)
-        assert instances_equal(inst, load_instance(path))
+        save_json(instance_to_dict(inst), path)
+        assert instances_equal(inst, instance_from_dict(load_json(path)))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))

@@ -185,6 +185,94 @@ class TestStepperEquivalence:
         assert inst in report.finished
         triple_eq(inst.outcome(), linial_vectorized(ring(8)))
 
+    def test_mixed_linial_and_fk24_membership_matches_reference(self):
+        # plain and faulty Linial plus plain, faulty and livelocking FK24
+        # instances, admitted one per round, with one instance evicted
+        # mid-run: every survivor equals its standalone reference run
+        from repro.algorithms.fk24 import fk24_lists, run_fk24
+        from repro.algorithms.linial import run_linial
+        from repro.graphs import gnp, random_regular
+        from repro.obs import RunRecorder, compare_round_accounting
+        from repro.sim.batch import make_fk24_instance
+
+        livelock = FaultPlan(seed=99, p_crash=0.9, crash_horizon=1, recovery_rounds=None)
+        corrupt = FaultPlan(seed=12, p_corrupt=0.2, corrupt_space=40)
+        linial_cases = [(ring(12), None), (ring(16), DROPPY), (ring(20), None)]
+        fk24_cases = [
+            (gnp(24, 0.2, seed=3), None),
+            (ring(16), corrupt),
+            (gnp(20, 0.3, seed=8), DROPPY),
+            (random_regular(24, 4, seed=4), livelock),
+        ]
+        fk24_inputs = [fk24_lists(g, defect=1, slack=1, seed=23) for g, _ in fk24_cases]
+
+        def reference(kind, g, plan, j):
+            rec, adoption = RunRecorder(), {}
+            try:
+                if kind == "linial":
+                    out = run_linial(g, initial_colors=spread(g), recorder=rec, faults=plan)
+                else:
+                    lists, space = fk24_inputs[j]
+                    out = run_fk24(
+                        g, lists=lists, space_size=space, defect=1,
+                        recorder=rec, faults=plan, adoption_out=adoption,
+                    )
+            except HaltingError as exc:
+                out = exc
+            return out, adoption, rec.record
+
+        pending, expected = [], {}
+        for kind, cases in (("linial", linial_cases), ("fk24", fk24_cases)):
+            for j, (g, plan) in enumerate(cases):
+                rec = RunRecorder()
+                if kind == "linial":
+                    inst = make_batch_instance(
+                        g, initial_colors=spread(g), faults=plan, recorder=rec
+                    )
+                else:
+                    lists, space = fk24_inputs[j]
+                    inst = make_fk24_instance(
+                        g, lists=lists, space_size=space, defect=1,
+                        faults=plan, recorder=rec,
+                    )
+                pending.append(inst)
+                expected[inst.uid] = (kind, rec, reference(kind, g, plan, j))
+        evicted = make_fk24_instance(ring(14), faults=DROPPY)
+        pending.insert(2, evicted)
+
+        stepper = LinialBatchStepper()
+        done, rounds = [], 0
+        while pending or not stepper.drained:
+            if pending:
+                stepper.admit(pending.pop(0))
+            if rounds == 4:
+                assert stepper.evict(evicted)
+            done.extend(stepper.step().finished)
+            rounds += 1
+        assert evicted not in done and not evicted.finished
+        assert sorted(i.uid for i in done) == sorted(expected)
+
+        halts = 0
+        for inst in done:
+            kind, rec, (ref, ref_adoption, ref_record) = expected[inst.uid]
+            got = inst.outcome()
+            if isinstance(ref, HaltingError):
+                halts += 1
+                assert isinstance(got, HaltingError)
+                assert (got.rounds, sorted(got.unfinished)) == (
+                    ref.rounds, sorted(ref.unfinished)
+                )
+                assert str(got) == str(ref)
+            else:
+                triple_eq(got, ref)
+                if kind == "fk24":
+                    assert inst.adoption() == ref_adoption
+                    assert got[0].orientation.arcs == ref[0].orientation.arcs
+            report = compare_round_accounting(ref_record, rec.record)
+            assert report["rounds_equal"] and report["accounting_equal"], report
+            assert report["faults_equal"] and report["totals_equal"], report
+        assert halts == 1
+
     def test_admitting_finished_instance_rejected(self):
         stepper = LinialBatchStepper()
         inst = stepper.admit(make_batch_instance(ring(8)))

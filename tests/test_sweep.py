@@ -161,16 +161,16 @@ class TestRunSweep:
 
 class TestCacheSchema:
     def test_records_carry_current_schema(self, tmp_path):
-        from repro.experiments.sweep import SWEEP_CACHE_SCHEMA, load_cached
+        from repro.experiments.sweep import SWEEP_CACHE_SCHEMA, load_cached_detailed
 
         cell = SweepCell.make("ring", {"n": 24}, "linial_vectorized")
         run_sweep([cell], cache_dir=tmp_path, workers=1)
-        cached = load_cached(tmp_path, cell)
-        assert cached is not None
+        cached, status = load_cached_detailed(tmp_path, cell)
+        assert status == "hit"
         assert cached["schema"] == SWEEP_CACHE_SCHEMA
 
     def test_schema_mismatch_is_a_miss(self, tmp_path):
-        from repro.experiments.sweep import SWEEP_CACHE_SCHEMA, load_cached
+        from repro.experiments.sweep import SWEEP_CACHE_SCHEMA, load_cached_detailed
 
         cell = SweepCell.make("ring", {"n": 24}, "linial_vectorized")
         run_sweep([cell], cache_dir=tmp_path, workers=1)
@@ -178,14 +178,14 @@ class TestCacheSchema:
         record = json.loads(path.read_text())
         record["schema"] = SWEEP_CACHE_SCHEMA + 1  # simulate a code bump
         path.write_text(json.dumps(record))
-        assert load_cached(tmp_path, cell) is None
+        assert load_cached_detailed(tmp_path, cell) == (None, "stale")
         # the sweep recomputes (and rewrites) rather than serving stale data
         summary = run_sweep_summarized([cell], cache_dir=tmp_path, workers=1)
         assert summary.computed == 1 and summary.cached == 0
-        assert load_cached(tmp_path, cell) is not None
+        assert load_cached_detailed(tmp_path, cell)[1] == "hit"
 
     def test_pre_versioning_record_is_a_miss(self, tmp_path):
-        from repro.experiments.sweep import load_cached
+        from repro.experiments.sweep import load_cached_detailed
 
         cell = SweepCell.make("ring", {"n": 24}, "linial_vectorized")
         run_sweep([cell], cache_dir=tmp_path, workers=1)
@@ -193,7 +193,7 @@ class TestCacheSchema:
         record = json.loads(path.read_text())
         del record["schema"]  # records from before the field existed
         path.write_text(json.dumps(record))
-        assert load_cached(tmp_path, cell) is None
+        assert load_cached_detailed(tmp_path, cell) == (None, "stale")
 
     def test_run_record_attached_for_observable_paths(self, tmp_path):
         from repro.obs import OBS_SCHEMA_VERSION
