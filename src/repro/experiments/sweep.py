@@ -31,7 +31,8 @@ Cached cell records are plain JSON::
                  "max_message_bits": ..., "bandwidth_limit": ...,
                  "bandwidth_violations": 0},
      "wall_s": 0.123, "batched_with": 1,
-     "timings": {"csr_build": ..., "rounds": ...},
+     "timings": {"csr_build": ..., "rounds": ...,
+                 "graph": ..., "cell_validate": ...},
      "run_record": {... full repro.obs.RunRecord, per-round rows ...}}
 
 ``schema`` is :data:`SWEEP_CACHE_SCHEMA`; cached files written under any
@@ -57,6 +58,14 @@ Fault tolerance (the shape a long overnight sweep actually needs):
   ``<key>.json.corrupt`` (:func:`load_cached_detailed`) so the evidence
   survives while the cell recomputes; ``repro-cli report`` surfaces the
   count.
+
+Cells that share a recipe (``family`` plus ``family_params``) share its
+work: within one worker's :func:`_compute_batch` call the recipe's graph
+is generated once and its CSR freeze built at most once, handed to the
+fast path's run and to the validity check, and dropped after the
+recipe's last pending cell.  Parallel workers still each build their own
+graph of a recipe, because the deal (:func:`partition_cells`) is by cache
+key, not by recipe.  A direct :func:`compute_cell` call builds its own.
 
 Workers batch before they loop: pending cells that share a
 :data:`BATCHABLE_ALGORITHMS` algorithm are frozen into one
@@ -93,6 +102,8 @@ import hashlib
 import json
 import os
 import time
+from collections import Counter
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -237,26 +248,30 @@ def _fault_plan(params: Mapping[str, Any]):
     return FaultPlan.from_dict(dict(params.get("faults") or {}))
 
 
-def _run_linial_vectorized(graph, params, recorder=None):
+def _run_linial_vectorized(recipe, params, recorder=None):
     from ..sim.vectorized import linial_vectorized
 
     res, metrics, palette = linial_vectorized(
-        graph, defect=int(params.get("defect", 0)), recorder=recorder
+        recipe.graph,
+        defect=int(params.get("defect", 0)),
+        recorder=recorder,
+        _csr=recipe.csr(recorder),
     )
     return res, metrics, palette
 
 
-def _run_classic_vectorized(graph, params, recorder=None):
+def _run_classic_vectorized(recipe, params, recorder=None):
     from ..sim.vectorized import classic_delta_plus_one_vectorized
 
-    res, metrics = classic_delta_plus_one_vectorized(graph, recorder=recorder)
+    res, metrics = classic_delta_plus_one_vectorized(recipe.graph, recorder=recorder)
     return res, metrics, None
 
 
-def _run_greedy_vectorized(graph, params, recorder=None):
+def _run_greedy_vectorized(recipe, params, recorder=None):
     from ..core.instance import delta_plus_one_instance
     from ..sim.vectorized import greedy_list_vectorized
 
+    graph = recipe.graph
     instance = delta_plus_one_instance(graph)
     res = greedy_list_vectorized(instance)
     metrics = _announce_coloring_metrics(graph, instance.space.size, recorder)
@@ -270,24 +285,25 @@ def _run_greedy_vectorized(graph, params, recorder=None):
     return res, metrics, instance.space.size
 
 
-def _run_defective_split(graph, params, recorder=None):
+def _run_defective_split(recipe, params, recorder=None):
     from ..core.coloring import ColoringResult
     from ..sim.vectorized import defective_split_vectorized
 
     classes, metrics, palette = defective_split_vectorized(
-        graph, defect=int(params.get("defect", 1)), recorder=recorder
+        recipe.graph, defect=int(params.get("defect", 1)), recorder=recorder
     )
     return ColoringResult(classes), metrics, palette
 
 
-def _run_linial_faulty_vectorized(graph, params, recorder=None):
+def _run_linial_faulty_vectorized(recipe, params, recorder=None):
     from ..sim.vectorized import linial_vectorized
 
     res, metrics, palette = linial_vectorized(
-        graph,
+        recipe.graph,
         defect=int(params.get("defect", 0)),
         recorder=recorder,
         faults=_fault_plan(params),
+        _csr=recipe.csr(recorder),
     )
     return res, metrics, palette
 
@@ -382,12 +398,17 @@ def _fk24_cell_config(graph, params):
     return lists, space, defect
 
 
-def _run_fk24_vectorized(graph, params, recorder=None):
+def _run_fk24_vectorized(recipe, params, recorder=None):
     from ..sim.vectorized import fk24_vectorized
 
-    lists, space, defect = _fk24_cell_config(graph, params)
+    lists, space, defect = _fk24_cell_config(recipe.graph, params)
     res, metrics, palette = fk24_vectorized(
-        graph, lists=lists, space_size=space, defect=defect, recorder=recorder
+        recipe.graph,
+        lists=lists,
+        space_size=space,
+        defect=defect,
+        recorder=recorder,
+        _csr=recipe.csr(recorder),
     )
     return res, metrics, palette
 
@@ -402,6 +423,10 @@ def _run_fk24_reference(graph, params, recorder=None):
     return res, metrics, palette
 
 
+#: Engine fast paths.  A runner takes the cell's :class:`_Recipe` (its graph
+#: plus the CSR freeze the cells of that recipe share), the algorithm
+#: parameters and a recorder; engines with a CSR hook run on the shared
+#: freeze.
 FAST_PATHS: dict[str, Callable] = {
     "linial_vectorized": _run_linial_vectorized,
     "classic_vectorized": _run_classic_vectorized,
@@ -450,9 +475,89 @@ def algorithm_names() -> list[str]:
     )
 
 
-def _validate(graph, result, algorithm, params) -> bool:
+# ----------------------------------------------------------------------
+# shared recipes
+# ----------------------------------------------------------------------
+def _recipe_key(cell: SweepCell) -> str:
+    """Cells with equal keys build the same graph."""
+    return repr((cell.family, cell.family_params))
+
+
+class _Recipe:
+    """One recipe's graph plus its CSR freeze, frozen on first use."""
+
+    __slots__ = ("graph", "_csr")
+
+    def __init__(self, graph) -> None:
+        self.graph = graph
+        self._csr = None
+
+    def csr(self, recorder=None):
+        """The graph's :class:`~repro.sim.engine.CSRGraph`, frozen once;
+        the freeze is charged to ``recorder``'s ``csr_build`` phase."""
+        if self._csr is None:
+            from ..sim.engine import CSRGraph
+            from ..sim.vectorized import _phase
+
+            with _phase(recorder, "csr_build"):
+                self._csr = CSRGraph.from_networkx(self.graph)
+        return self._csr
+
+
+class _Recipes:
+    """The recipes of one :func:`_compute_batch` call, counted by cell.
+
+    :meth:`acquire` builds a recipe's graph for its first cell and hands
+    the same :class:`_Recipe` to every later one; :meth:`release` drops it
+    after its last cell, so a graph never outlives the cells that need it.
+    A recipe the counts do not cover (a direct :func:`compute_cell` call)
+    lives until its cell is released.
+    """
+
+    def __init__(self, cells: Sequence[SweepCell] = ()) -> None:
+        self._left = Counter(_recipe_key(cell) for cell in cells)
+        self._live: dict[str, _Recipe] = {}
+
+    def acquire(self, cell: SweepCell) -> tuple[_Recipe, float]:
+        """The cell's recipe and the seconds spent building its graph
+        (``0.0`` when an earlier cell built it).  Raises what the graph
+        generator raises."""
+        from .. import graphs
+
+        key = _recipe_key(cell)
+        recipe = self._live.get(key)
+        if recipe is not None:
+            return recipe, 0.0
+        t0 = time.perf_counter()
+        recipe = _Recipe(graphs.family(cell.family, **dict(cell.family_params)))
+        self._live[key] = recipe
+        return recipe, time.perf_counter() - t0
+
+    def release(self, cell: SweepCell) -> None:
+        """One cell of the recipe is done; drop the recipe after its last."""
+        key = _recipe_key(cell)
+        self._left[key] -= 1
+        if self._left[key] <= 0:
+            del self._left[key]
+            self._live.pop(key, None)
+
+
+#: The recipes of the running :func:`_compute_batch` call.  Outside one,
+#: :func:`compute_cell` and :func:`compute_cells_batched` build their own.
+#: A context variable rather than a parameter, so both keep their public
+#: one-argument signatures.
+_ACTIVE_RECIPES: ContextVar[_Recipes | None] = ContextVar(
+    "sweep_recipes", default=None
+)
+
+
+def _recipes() -> _Recipes:
+    return _ACTIVE_RECIPES.get() or _Recipes()
+
+
+def _validate(recipe: _Recipe, result, algorithm, params) -> bool:
     """Vectorized validity check appropriate to the algorithm's contract."""
-    from ..sim.engine import CSRGraph, equal_neighbor_counts
+    from ..sim.engine import equal_neighbor_counts
 
     if algorithm.startswith("fk24"):
         # arbdefective contract: the defect budget counts same-colored
@@ -461,16 +566,61 @@ def _validate(graph, result, algorithm, params) -> bool:
 
         return bool(
             validate_arbdefective_plain(
-                graph, result, int(params.get("defect", 1))
+                recipe.graph, result, int(params.get("defect", 1))
             ).ok
         )
 
-    csr = CSRGraph.from_networkx(graph)
+    csr = recipe.csr()
     colors = csr.gather(result.assignment)
     same = equal_neighbor_counts(csr, colors)
     default = 1 if algorithm.startswith("defective_split") else 0
     allowed = int(params.get("defect", default))
     return bool(same.size == 0 or int(same.max()) <= allowed)
+
+
+def _ok_record(
+    cell: SweepCell,
+    recipe: _Recipe,
+    outcome: tuple,
+    recorder,
+    *,
+    wall_s: float,
+    batched_with: int,
+    graph_s: float,
+    extra: Mapping[str, Any] | None = None,
+) -> dict[str, Any]:
+    """The record of a cell whose run returned ``(result, metrics,
+    palette)``: validates the result and adds the cell's own clocks —
+    ``graph`` (seconds building the graph, ``0.0`` when it was shared)
+    and ``cell_validate`` — to the run's phase ``timings``."""
+    result, metrics, palette = outcome
+    graph = recipe.graph
+    params = dict(cell.spec()["algo_params"])
+    t0 = time.perf_counter()
+    valid = _validate(recipe, result, cell.algorithm, params)
+    validate_s = time.perf_counter() - t0
+    run_record = recorder.record if recorder is not None else None
+    timings = dict(run_record.timings) if run_record is not None else {}
+    timings.update(graph=graph_s, cell_validate=validate_s)
+    record = dict(cell.spec())
+    record.update(
+        key=cell_key(cell),
+        schema=SWEEP_CACHE_SCHEMA,
+        status="ok",
+        n=graph.number_of_nodes(),
+        m=graph.number_of_edges(),
+        delta=max((d for _, d in graph.degree), default=0),
+        colors=result.num_colors(),
+        valid=valid,
+        palette=palette,
+        metrics=metrics.summary() if metrics is not None else None,
+        wall_s=wall_s,
+        batched_with=batched_with,
+        timings=timings,
+        run_record=run_record.to_dict() if run_record is not None else None,
+        **(extra or {}),
+    )
+    return record
 
 
 def compute_cell(cell: SweepCell) -> dict[str, Any]:
@@ -479,64 +629,58 @@ def compute_cell(cell: SweepCell) -> dict[str, Any]:
     Fast-path and reference-path cells run under a
     :class:`~repro.obs.RunRecorder`, so the record carries the full
     per-round :class:`~repro.obs.RunRecord` (``run_record``) and the
-    profiler's phase timings (``timings``); registry-only algorithms set
-    both to their empty values.  Raises propagate — quarantine into
-    :func:`failed_record` is the *batch* layer's job, so direct callers
-    still see real exceptions.
+    profiler's phase timings (``timings``, plus the cell's ``graph`` and
+    ``cell_validate`` seconds); registry-only algorithms carry no
+    ``run_record`` and only those two timings.  Inside
+    :func:`_compute_batch` the graph (and its CSR freeze) comes from the
+    batch's shared recipes; called directly, the cell builds its own.
+    Raises propagate — quarantine into :func:`failed_record` is the
+    *batch* layer's job, so direct callers still see real exceptions.
     """
-    from .. import graphs
     from ..algorithms import registry
     from ..obs import RunRecorder
     from ..sim.backends import backend_of_sweep_algorithm
 
-    family_params = dict(cell.family_params)
-    algo_params = dict(cell.spec()["algo_params"])
-    graph = graphs.family(cell.family, **family_params)
-    delta = max((d for _, d in graph.degree), default=0)
-
-    t0 = time.perf_counter()
-    palette = None
-    recorder = None
-    extra: dict[str, Any] = {}
-    if cell.algorithm in FAST_PATHS:
-        engine = backend_of_sweep_algorithm(cell.algorithm).engine
-        recorder = RunRecorder(engine=engine, algorithm=cell.algorithm)
-        result, metrics, palette = FAST_PATHS[cell.algorithm](
-            graph, algo_params, recorder
-        )
-    elif cell.algorithm in REFERENCE_PATHS:
-        engine = backend_of_sweep_algorithm(cell.algorithm).engine
-        recorder = RunRecorder(engine=engine, algorithm=cell.algorithm)
-        out = REFERENCE_PATHS[cell.algorithm](graph, algo_params, recorder)
-        if len(out) == 4:  # resilient path also returns restart info
-            result, metrics, palette, info = out
-            extra["resilience"] = info
+    recipes = _recipes()
+    try:
+        recipe, graph_s = recipes.acquire(cell)
+        algo_params = dict(cell.spec()["algo_params"])
+        t0 = time.perf_counter()
+        palette = None
+        recorder = None
+        extra: dict[str, Any] = {}
+        if cell.algorithm in FAST_PATHS:
+            engine = backend_of_sweep_algorithm(cell.algorithm).engine
+            recorder = RunRecorder(engine=engine, algorithm=cell.algorithm)
+            result, metrics, palette = FAST_PATHS[cell.algorithm](
+                recipe, algo_params, recorder
+            )
+        elif cell.algorithm in REFERENCE_PATHS:
+            engine = backend_of_sweep_algorithm(cell.algorithm).engine
+            recorder = RunRecorder(engine=engine, algorithm=cell.algorithm)
+            out = REFERENCE_PATHS[cell.algorithm](
+                recipe.graph, algo_params, recorder
+            )
+            if len(out) == 4:  # resilient path also returns restart info
+                result, metrics, palette, info = out
+                extra["resilience"] = info
+            else:
+                result, metrics, palette = out
         else:
-            result, metrics, palette = out
-    else:
-        result, metrics = registry.run(cell.algorithm, graph)
-    wall = time.perf_counter() - t0
-
-    run_record = recorder.record if recorder is not None else None
-    record = dict(cell.spec())
-    record.update(
-        key=cell_key(cell),
-        schema=SWEEP_CACHE_SCHEMA,
-        status="ok",
-        n=graph.number_of_nodes(),
-        m=graph.number_of_edges(),
-        delta=delta,
-        colors=result.num_colors(),
-        valid=_validate(graph, result, cell.algorithm, algo_params),
-        palette=palette,
-        metrics=metrics.summary() if metrics is not None else None,
-        wall_s=wall,
-        batched_with=1,
-        timings=dict(run_record.timings) if run_record is not None else {},
-        run_record=run_record.to_dict() if run_record is not None else None,
-        **extra,
-    )
-    return record
+            result, metrics = registry.run(cell.algorithm, recipe.graph)
+        wall = time.perf_counter() - t0
+        return _ok_record(
+            cell,
+            recipe,
+            (result, metrics, palette),
+            recorder,
+            wall_s=wall,
+            batched_with=1,
+            graph_s=graph_s,
+            extra=extra,
+        )
+    finally:
+        recipes.release(cell)
 
 
 def failed_record(
@@ -672,12 +816,13 @@ def compute_cells_batched(cells: Sequence[SweepCell]) -> list[dict[str, Any]]:
     times that no clock ever measured), ``batched_with`` records how many
     cells shared that invocation (so per-cell cost is
     ``wall_s / batched_with``), and ``timings`` are the shared batch
-    phases.  Per-cell quarantine is preserved: a cell whose graph build
+    phases plus the cell's own ``graph`` and ``cell_validate`` seconds.
+    Cells of one recipe share one graph (see :func:`compute_cell`).
+    Per-cell quarantine is preserved: a cell whose graph build
     or in-batch run raises (e.g. a crash-stop
     :class:`~repro.sim.node.HaltingError`) yields its
     :func:`failed_record` while sibling cells still land ``ok``.
     """
-    from .. import graphs
     from ..obs import RunRecorder
     from ..sim.backends import backend_of_sweep_algorithm
 
@@ -691,57 +836,47 @@ def compute_cells_batched(cells: Sequence[SweepCell]) -> list[dict[str, Any]]:
     if algorithm not in BATCHABLE_ALGORITHMS:
         raise ValueError(f"algorithm {algorithm!r} has no batched path")
 
+    recipes = _recipes()
     out: list[dict[str, Any] | None] = [None] * len(cells)
     built: list[tuple] = []  # (cell, graph, params, recorder) per ok build
-    positions: list[int] = []
+    shared: list[tuple[int, _Recipe, float]] = []  # (pos, recipe, graph_s)
     for pos, cell in enumerate(cells):
         t0 = time.perf_counter()
         try:
-            graph = graphs.family(cell.family, **dict(cell.family_params))
+            recipe, graph_s = recipes.acquire(cell)
         except Exception as exc:
             out[pos] = failed_record(cell, exc, wall_s=time.perf_counter() - t0)
             continue
         params = dict(cell.spec()["algo_params"])
         engine = backend_of_sweep_algorithm(algorithm).engine
         rec = RunRecorder(engine=engine, algorithm=algorithm)
-        built.append((cell, graph, params, rec))
-        positions.append(pos)
+        built.append((cell, recipe.graph, params, rec))
+        shared.append((pos, recipe, graph_s))
     if built:
         t0 = time.perf_counter()
         outcomes = _run_batched(algorithm, built)
         wall = time.perf_counter() - t0
-        for pos, (cell, graph, params, rec), outcome in zip(
-            positions, built, outcomes
+        for (pos, recipe, graph_s), (cell, _, _, rec), outcome in zip(
+            shared, built, outcomes
         ):
             if isinstance(outcome, BaseException):
                 out[pos] = failed_record(
                     cell, outcome, wall_s=wall, batched_with=len(built)
                 )
-                continue
-            result, metrics, palette = outcome
-            run_record = rec.record
-            record = dict(cell.spec())
-            record.update(
-                key=cell_key(cell),
-                schema=SWEEP_CACHE_SCHEMA,
-                status="ok",
-                n=graph.number_of_nodes(),
-                m=graph.number_of_edges(),
-                delta=max((d for _, d in graph.degree), default=0),
-                colors=result.num_colors(),
-                valid=_validate(graph, result, algorithm, params),
-                palette=palette,
-                metrics=metrics.summary() if metrics is not None else None,
-                wall_s=wall,
-                batched_with=len(built),
-                timings=dict(run_record.timings)
-                if run_record is not None
-                else {},
-                run_record=run_record.to_dict()
-                if run_record is not None
-                else None,
-            )
-            out[pos] = record
+            else:
+                out[pos] = _ok_record(
+                    cell,
+                    recipe,
+                    outcome,
+                    rec,
+                    wall_s=wall,
+                    batched_with=len(built),
+                    graph_s=graph_s,
+                )
+    # released only once the group has its records: if it raises instead,
+    # its cells fall back to compute_cell, which releases each of them
+    for cell in cells:
+        recipes.release(cell)
     return out  # type: ignore[return-value]
 
 
@@ -849,6 +984,12 @@ def _compute_batch(
     back to the per-cell loop.  Either way, a cell whose computation
     raises is quarantined as a :func:`failed_record`; the rest of the
     batch still runs.
+
+    Pending cells of one recipe (``family`` plus ``family_params``) share
+    one graph and one CSR freeze, in a batched group and in the per-cell
+    loop alike: the call counts its pending cells per recipe
+    (:class:`_Recipes`), builds each graph for the recipe's first cell and
+    drops it after its last.  Nothing outlives the call.
     """
     cells = [
         SweepCell.make(
@@ -869,6 +1010,11 @@ def _compute_batch(
                 continue
         pending.append(i)
 
+    def finish(i: int, record: dict[str, Any]) -> None:
+        if cache_dir is not None:
+            store_cached(cache_dir, record)
+        out[i] = record
+
     groups: dict[str, list[int]] = {}
     singles: list[int] = []
     for i in pending:
@@ -876,30 +1022,34 @@ def _compute_batch(
             groups.setdefault(cells[i].algorithm, []).append(i)
         else:
             singles.append(i)
-    for algorithm in sorted(groups):
-        idxs = groups[algorithm]
-        if len(idxs) < 2:  # nothing to batch; the per-cell loop is simpler
-            singles.extend(idxs)
-            continue
-        try:
-            records = compute_cells_batched([cells[i] for i in idxs])
-        except Exception:
-            singles.extend(idxs)  # batching itself broke; per-cell fallback
-            continue
-        for i, record in zip(idxs, records):
-            if cache_dir is not None:
-                store_cached(cache_dir, record)
-            out[i] = record
+    token = _ACTIVE_RECIPES.set(_Recipes([cells[i] for i in pending]))
+    try:
+        for algorithm in sorted(groups):
+            idxs = groups[algorithm]
+            if len(idxs) < 2:  # nothing to batch; the per-cell loop is simpler
+                singles.extend(idxs)
+                continue
+            try:
+                records = compute_cells_batched([cells[i] for i in idxs])
+            except Exception:
+                singles.extend(idxs)  # batching itself broke; per-cell fallback
+                continue
+            for i, record in zip(idxs, records):
+                finish(i, record)
 
-    for i in sorted(singles):
-        t0 = time.perf_counter()
-        try:
-            record = compute_cell(cells[i])
-        except Exception as exc:
-            record = failed_record(cells[i], exc, wall_s=time.perf_counter() - t0)
-        if cache_dir is not None:
-            store_cached(cache_dir, record)
-        out[i] = record
+        # one recipe after another, so each graph is dropped after its
+        # last cell instead of living until the end of the loop
+        for i in sorted(singles, key=lambda i: (_recipe_key(cells[i]), i)):
+            t0 = time.perf_counter()
+            try:
+                record = compute_cell(cells[i])
+            except Exception as exc:
+                record = failed_record(
+                    cells[i], exc, wall_s=time.perf_counter() - t0
+                )
+            finish(i, record)
+    finally:
+        _ACTIVE_RECIPES.reset(token)
     return out  # type: ignore[return-value]
 
 
@@ -976,8 +1126,6 @@ def run_sweep(
                 record["algorithm"],
                 record["algo_params"],
             )
-            if cache_dir is not None:
-                store_cached(cache_dir, record)
             results[record["key"]] = CellResult(
                 cell,
                 record,

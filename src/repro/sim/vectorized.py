@@ -330,6 +330,7 @@ def fk24_vectorized(
     recorder: "RunRecorder | None" = None,
     faults=None,
     adoption_out: dict | None = None,
+    _csr: CSRGraph | None = None,
 ) -> tuple[ColoringResult, RunMetrics, int]:
     """Vectorized twin of :func:`repro.algorithms.fk24.run_fk24`.
 
@@ -343,13 +344,14 @@ def fk24_vectorized(
     column family and the (stretched) round budget, so a plan that
     livelocks the algorithm halts both engines with the identical
     :class:`~repro.sim.node.HaltingError`.  ``adoption_out``, if given,
-    is filled with each node's adoption round.
+    is filled with each node's adoption round.  ``_csr`` (internal) reuses
+    an already-built CSR of ``graph``, as in :func:`linial_vectorized`.
 
     The run is a batch of one: a :func:`~repro.sim.batch.make_fk24_instance`
     stepped to completion by :class:`~repro.sim.batch.LinialBatchStepper`.
     """
     with _phase(recorder, "csr_build"):
-        csr = CSRGraph.from_networkx(graph)
+        csr = _csr if _csr is not None else CSRGraph.from_networkx(graph)
     with _phase(recorder, "schedule"):
         inst = make_fk24_instance(
             graph,

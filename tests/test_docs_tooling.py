@@ -90,6 +90,33 @@ class TestFindDeadDefs:
         tool = load_tool("find_dead_defs")
         assert tool.find_dead([REPO / "src" / "repro" / "sim"]) == []
 
+    def test_allow_listed_definitions_are_skipped(self, tmp_path):
+        tool = load_tool("find_dead_defs")
+        for rel in ("src/repro/io.py", "src/repro/other.py"):
+            path = tmp_path / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(
+                "def load_run():\n    pass\n"
+                "def load_other():\n    pass\n"
+            )
+        assert tool.ALLOWED["src/repro/io.py:load_run"]
+        dead = tool.find_dead([tmp_path / "src"], repo=tmp_path)
+        # the entry names one module's definition, not every same-named one
+        assert sorted(
+            (path.name, name) for path, _, name in dead
+        ) == [
+            ("io.py", "load_other"),
+            ("other.py", "load_other"),
+            ("other.py", "load_run"),
+        ]
+        # the other entries name definitions this tree lacks
+        assert "src/repro/io.py:load_run" not in tool.stale_allowed(tmp_path)
+        assert len(tool.stale_allowed(tmp_path)) == len(tool.ALLOWED) - 1
+
+    def test_allow_list_names_existing_definitions(self):
+        tool = load_tool("find_dead_defs")
+        assert tool.stale_allowed() == []
+
 
 class TestRepoDocs:
     def test_design_lists_all_experiments(self):

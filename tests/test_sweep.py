@@ -202,12 +202,13 @@ class TestCacheSchema:
         assert rec["run_record"] is not None
         assert rec["run_record"]["schema"] == OBS_SCHEMA_VERSION
         assert rec["run_record"]["engine"] == "vectorized"
-        assert set(rec["timings"]) >= {"csr_build", "rounds"}
-        # registry-only algorithms attach no record
+        assert set(rec["timings"]) >= {"csr_build", "rounds", "graph", "cell_validate"}
+        # registry-only algorithms attach no record, only the cell's clocks
         rec = compute_cell(
             SweepCell.make("random_regular", {"n": 24, "degree": 3, "seed": 1}, "thm14")
         )
-        assert rec["run_record"] is None and rec["timings"] == {}
+        assert rec["run_record"] is None
+        assert set(rec["timings"]) == {"graph", "cell_validate"}
 
 
 class TestAnalysisBridge:
@@ -243,3 +244,163 @@ class TestCLI:
         payload = json.loads((tmp_path / "sweep.json").read_text())
         assert payload["cached"] == 4 and len(payload["cells"]) == 4
         assert all(c["valid"] for c in payload["cells"])
+
+
+def graph_snapshot(graph):
+    """Everything a sweep path could mutate on a shared graph: nodes,
+    edges and adjacency in iteration order, plus graph/node/edge
+    attributes (deep-copied so later in-place edits show)."""
+    import copy
+
+    return copy.deepcopy(
+        (
+            type(graph),
+            list(graph.nodes(data=True)),
+            list(graph.edges(data=True)),
+            [(u, list(graph.adj[u])) for u in graph],
+            dict(graph.graph),
+        )
+    )
+
+
+def spy_family(monkeypatch):
+    """Record every graph ``repro.graphs.family`` builds with its
+    snapshot at build time."""
+    import repro.graphs as graphs_mod
+
+    built = []
+    real = graphs_mod.family
+
+    def family(name, **params):
+        graph = real(name, **params)
+        built.append((graph, graph_snapshot(graph)))
+        return graph
+
+    monkeypatch.setattr(graphs_mod, "family", family)
+    return built
+
+
+class TestSharedRecipes:
+    RECIPE = {"n": 30, "degree": 4, "seed": 2}
+
+    def test_computed_cell_written_once_and_hit_on_rerun(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments import sweep as sweep_mod
+
+        cells = grid(
+            "random_regular",
+            ["linial_vectorized", "fk24_vectorized", "linial", "thm14"],
+            [24],
+            seeds=[0, 1],
+            extra_family_params={"degree": 3},
+        )
+        writes = []
+        real = sweep_mod.store_cached
+
+        def store(cache_dir, record):
+            writes.append(record["key"])
+            return real(cache_dir, record)
+
+        monkeypatch.setattr(sweep_mod, "store_cached", store)
+        first = run_sweep_summarized(cells, cache_dir=tmp_path, workers=1)
+        assert first.computed == len(cells)
+        assert sorted(writes) == sorted(cell_key(c) for c in cells)
+        writes.clear()
+        again = run_sweep_summarized(cells, cache_dir=tmp_path, workers=1)
+        assert again.cached == len(cells) and writes == []
+        assert [r.cache_status for r in again.results] == ["hit"] * len(cells)
+        assert [r.data for r in again.results] == [r.data for r in first.results]
+
+    def test_no_sweep_path_mutates_the_shared_graph(self, monkeypatch):
+        """Every sweep algorithm, two cells each (so batchable ones take
+        the batched path), on one shared recipe: the graph must come out
+        exactly as the generator built it."""
+        from repro.experiments.sweep import _compute_batch, algorithm_names
+
+        built = spy_family(monkeypatch)
+        specs = []
+        for algorithm in algorithm_names():
+            for rep in range(2):
+                params = {"rep": rep}
+                if "faulty" in algorithm or algorithm == "linial_resilient":
+                    params["faults"] = {"seed": 3, "p_drop": 0.1}
+                specs.append(
+                    SweepCell.make(
+                        "random_regular", self.RECIPE, algorithm, params
+                    ).spec()
+                )
+        records = _compute_batch(specs)
+        assert [r["status"] for r in records] == ["ok"] * len(specs)
+        assert all(r["valid"] for r in records)
+        assert len(built) == 1
+        graph, before = built[0]
+        assert graph_snapshot(graph) == before
+
+    def test_batch_builds_each_recipe_and_csr_once(self, monkeypatch):
+        from repro.experiments.sweep import _compute_batch
+        from repro.sim.engine import CSRGraph
+
+        cells = [
+            SweepCell.make(
+                "random_regular", {"n": 40, "degree": 4, "seed": seed}, algorithm
+            )
+            for seed in (0, 1)
+            for algorithm in ("linial_vectorized", "fk24_vectorized")
+        ]
+        built = spy_family(monkeypatch)
+        freezes = []
+        real_freeze = CSRGraph.__dict__["from_networkx"].__func__
+
+        def from_networkx(cls, graph):
+            freezes.append(graph)
+            return real_freeze(cls, graph)
+
+        monkeypatch.setattr(CSRGraph, "from_networkx", classmethod(from_networkx))
+        records = _compute_batch([c.spec() for c in cells])
+        assert len(built) == 2 and len(freezes) == 2
+        assert {id(g) for g in freezes} == {id(g) for g, _ in built}
+        # one cell of each recipe pays for its graph, the other reuses it
+        graph_s = [r["timings"]["graph"] for r in records]
+        for pair in (graph_s[:2], graph_s[2:]):
+            assert min(pair) == 0.0 and max(pair) > 0
+        assert all(r["timings"]["cell_validate"] > 0 for r in records)
+
+        def clock_free(record):
+            # batched_with counts the cells sharing one batched engine
+            # invocation: 2 here, 1 for a lone compute_cell
+            out = {
+                k: v
+                for k, v in record.items()
+                if k not in ("wall_s", "timings", "batched_with")
+            }
+            out["run_record"] = {
+                k: v for k, v in out["run_record"].items() if k != "timings"
+            }
+            return out
+
+        for cell, record in zip(cells, records):
+            assert clock_free(record) == clock_free(compute_cell(cell))
+
+    def test_group_that_raises_still_builds_each_recipe_once(self, monkeypatch):
+        import repro.experiments.sweep as sweep_mod
+
+        cells = [
+            SweepCell.make(
+                "random_regular", {"n": 40, "degree": 4, "seed": seed}, algorithm
+            )
+            for seed in (0, 1)
+            for algorithm in ("linial_vectorized", "fk24_vectorized")
+        ]
+
+        def broken(algorithm, built):
+            raise RuntimeError("batched engine down")
+
+        monkeypatch.setattr(sweep_mod, "_run_batched", broken)
+        built = spy_family(monkeypatch)
+        records = sweep_mod._compute_batch([c.spec() for c in cells])
+        # both groups fell back to compute_cell, which reused the graphs
+        # the groups had built instead of generating them again
+        assert [r["status"] for r in records] == ["ok"] * 4
+        assert [r["batched_with"] for r in records] == [1] * 4
+        assert len(built) == 2

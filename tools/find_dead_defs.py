@@ -15,8 +15,11 @@ the tool lists candidates, it does not prove liveness.
 Usage:  python tools/find_dead_defs.py [PATH ...]
 
 PATHs (files or directories, default ``src/repro``) select which
-definitions to report.  Prints one ``path:line: name`` per finding and
-exits 1 if there is any, 0 otherwise.
+definitions to report.  The definitions in :data:`ALLOWED` are kept on
+purpose and never reported; an entry that names no existing definition
+is reported as stale.  Prints one ``path:line: name`` per finding (and
+one ``stale allow-list entry: path:name`` per stale entry) and exits 1
+if there is any, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -30,6 +33,23 @@ REPO = Path(__file__).resolve().parent.parent
 
 #: Trees whose code counts as a use; ``tests/`` deliberately absent.
 PROGRAM_TREES = ("src", "tools", "benchmarks", "examples", "perfbench")
+
+#: Definitions only the tests use, kept on purpose:
+#: ``"<path from the repo root>:<name>"`` -> why.
+ALLOWED = {
+    "src/repro/algorithms/mis.py:is_maximal_independent_set": (
+        "the MIS test oracle in tests/test_mis.py"
+    ),
+    "src/repro/analysis/regimes.py:thm14_wins_somewhere_in_gap": (
+        "the paper-claim check in tests/test_regimes.py"
+    ),
+    "src/repro/io.py:save_graph_edgelist": (
+        "fixture writer for the live load_graph_edgelist in tests/test_io.py"
+    ),
+    "src/repro/io.py:load_run": (
+        "golden-record reader in tests/test_golden.py and tests/test_io.py"
+    ),
+}
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -106,19 +126,40 @@ def entry_point_names(pyproject: Path) -> set[str]:
     return set(re.findall(r'"[\w.]+:(\w+)"', pyproject.read_text()))
 
 
+def _allow_key(path: Path, name: str, repo: Path) -> str:
+    try:
+        return f"{path.relative_to(repo).as_posix()}:{name}"
+    except ValueError:  # a target outside the repo
+        return name
+
+
 def find_dead(targets: list[Path], repo: Path = REPO) -> list[tuple[Path, int, str]]:
-    """The definitions under ``targets`` that no program code uses."""
+    """The definitions under ``targets`` that no program code uses,
+    except the ones in :data:`ALLOWED`."""
     program = _python_files([repo / tree for tree in PROGRAM_TREES])
     refs = references(program)
     live = entry_point_names(repo / "pyproject.toml")
     dead = []
     for path, line, name in definitions(_python_files(targets)):
-        if name in live:
+        if name in live or _allow_key(path, name, repo) in ALLOWED:
             continue
         users = refs.get(name, set()) - {(path, line)}
         if not users:
             dead.append((path, line, name))
     return dead
+
+
+def stale_allowed(repo: Path = REPO) -> list[str]:
+    """The :data:`ALLOWED` entries whose file no longer defines the name."""
+    stale = []
+    for key in ALLOWED:
+        rel, name = key.rsplit(":", 1)
+        path = repo / rel
+        if not path.is_file() or name not in {
+            defined for _, _, defined in definitions([path])
+        }:
+            stale.append(key)
+    return stale
 
 
 def main(argv: list[str]) -> int:
@@ -130,7 +171,10 @@ def main(argv: list[str]) -> int:
         except ValueError:
             shown = path
         print(f"{shown}:{line}: {name}")
-    return 1 if dead else 0
+    stale = stale_allowed()
+    for key in stale:
+        print(f"stale allow-list entry: {key}")
+    return 1 if dead or stale else 0
 
 
 if __name__ == "__main__":
